@@ -3,10 +3,12 @@
 //! energy-model activity.
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rfv_compiler::{compile, spill_to_cap, CompileOptions, CompiledKernel};
 use rfv_core::VirtualizationPolicy;
+use rfv_isa::binary::encode_program_identity;
 use rfv_power::model::RfActivity;
 use rfv_sim::{
     simulate, simulate_predecoded, PredecodedKernel, SanitizeLevel, SimConfig, SimResult, SimStats,
@@ -34,17 +36,24 @@ pub fn sanitize_level() -> SanitizeLevel {
 /// Compiled-kernel memo shared by the `compile_*` helpers. Sweep
 /// drivers recompile the same workload at every sweep point (the
 /// compiler is pure, so the output is identical each time); the memo
-/// turns those repeats into a clone. Keyed like [`RESULT_MEMO`] by
-/// the `Debug` rendering of the input kernel and options — exact, not
-/// name-based, so a mutated kernel under a reused name cannot collide.
-static COMPILE_MEMO: OnceLock<Mutex<HashMap<String, CompiledKernel>>> = OnceLock::new();
+/// turns those repeats into a clone. Keyed by the exact bytes of the
+/// source kernel's structural identity
+/// ([`encode_program_identity`]), the options, and the name (the
+/// compiled kernel carries it) — exact, not name-based, so a mutated
+/// kernel under a reused name cannot collide.
+static COMPILE_MEMO: OnceLock<Mutex<HashMap<Vec<u8>, CompiledKernel>>> = OnceLock::new();
 
 /// Entry cap for [`COMPILE_MEMO`]; saturates rather than evicts, like
 /// [`RESULT_MEMO_CAP`].
 const COMPILE_MEMO_CAP: usize = 256;
 
 fn compile_memoized(kernel: &rfv_isa::Kernel, opts: &CompileOptions) -> CompiledKernel {
-    let key = format!("{kernel:?}|{opts:?}");
+    // destructured so a new option cannot be left out of the key
+    let CompileOptions { table_budget_bytes } = *opts;
+    let mut key = Vec::new();
+    encode_program_identity(kernel, &mut key);
+    key.extend_from_slice(&(table_budget_bytes as u64).to_le_bytes());
+    key.extend_from_slice(kernel.name().as_bytes());
     let memo = COMPILE_MEMO.get_or_init(Default::default);
     if let Some(hit) = memo.lock().expect("compile memo lock").get(&key) {
         return hit.clone();
@@ -124,15 +133,18 @@ pub fn compile_spilled(w: &Workload, phys_regs: usize) -> CompiledKernel {
 /// checkpoint boundaries), so a repeated `(kernel, config)` pair —
 /// common across sweeps that share a baseline point, e.g. every
 /// sweep's `baseline_full` reference row — can reuse the first run's
-/// result verbatim. Keyed by the full `Debug` rendering of both
-/// kernel and resolved config, so any semantic difference (compile
-/// options, shrink depth, sanitize level) produces a distinct key and
-/// a hit is exact, not approximate.
+/// result verbatim. Keyed by the exact bytes of the compiled kernel's
+/// structural identity ([`CompiledKernel::encode_identity`], every
+/// field the simulator reads) followed by the resolved config's
+/// `Debug` rendering (small, and it covers fields the checkpoint
+/// config hash omits, such as `max_cycles`), so any semantic
+/// difference (compile options, shrink depth, sanitize level)
+/// produces a distinct key and a hit is exact, not approximate.
 ///
 /// The timed benchmark path ([`run_predecoded`], used by the `perf`
 /// harness's repeat loops) deliberately bypasses the memo: its
 /// repeats must exercise the engine, not a table lookup.
-static RESULT_MEMO: OnceLock<Mutex<HashMap<String, SimResult>>> = OnceLock::new();
+static RESULT_MEMO: OnceLock<Mutex<HashMap<Vec<u8>, SimResult>>> = OnceLock::new();
 
 /// Memo entry cap. A full `figures all` sweep needs a few hundred
 /// entries; the cap only guards long-lived embedders against
@@ -165,7 +177,9 @@ pub fn run(kernel: &CompiledKernel, config: &SimConfig) -> SimResult {
     if !config.sanitize.is_on() {
         config.sanitize = sanitize_level();
     }
-    let key = format!("{kernel:?}|{config:?}");
+    let mut key = Vec::new();
+    kernel.encode_identity(&mut key);
+    write!(key, "{config:?}").expect("writing to a Vec cannot fail");
     let memo = RESULT_MEMO.get_or_init(Default::default);
     if let Some(hit) = memo.lock().expect("result memo lock").get(&key) {
         return hit.clone();

@@ -1,8 +1,8 @@
 //! The compile driver and its output, [`CompiledKernel`].
 
-use std::collections::HashMap;
 use std::fmt;
 
+use rfv_isa::binary::encode_program_identity;
 use rfv_isa::{ArchReg, Kernel, Opcode, ReleaseFlags};
 
 use crate::candidates::{CandidateSelection, DEFAULT_TABLE_BUDGET_BYTES};
@@ -86,6 +86,14 @@ impl From<CfgError> for CompileError {
     }
 }
 
+/// [`CompiledKernel`]'s reconvergence entry for a PC that holds no
+/// conditional branch.
+const NOT_A_BRANCH: u32 = u32::MAX;
+
+/// [`CompiledKernel`]'s reconvergence entry for a branch that
+/// reconverges only at program end.
+const AT_PROGRAM_END: u32 = u32::MAX - 1;
+
 /// A kernel compiled for register file virtualization.
 ///
 /// Carries the rewritten program (with embedded metadata), per-PC
@@ -95,9 +103,11 @@ impl From<CfgError> for CompileError {
 pub struct CompiledKernel {
     kernel: Kernel,
     flags: Vec<ReleaseFlags>,
-    /// Final branch PC → reconvergence PC (`None`: reconverges only at
-    /// program end).
-    reconv: HashMap<usize, Option<usize>>,
+    /// Per final PC, like `flags`: the reconvergence PC of the
+    /// conditional branch there, [`AT_PROGRAM_END`], or
+    /// [`NOT_A_BRANCH`] (four bytes a slot, since every cached kernel
+    /// carries one entry per PC).
+    reconv: Vec<u32>,
     renamed: RegSet,
     exempt: RegSet,
     stats: CompileStats,
@@ -122,7 +132,11 @@ impl CompiledKernel {
     /// Returns `None` for non-branches; `Some(None)` marks a branch
     /// that reconverges only at program end.
     pub fn reconv_at(&self, pc: usize) -> Option<Option<usize>> {
-        self.reconv.get(&pc).copied()
+        match *self.reconv.get(pc)? {
+            NOT_A_BRANCH => None,
+            AT_PROGRAM_END => Some(None),
+            r => Some(Some(r as usize)),
+        }
     }
 
     /// Whether `r` participates in renaming.
@@ -173,6 +187,39 @@ impl CompiledKernel {
     pub fn max_held_per_warp(&self) -> usize {
         self.max_held_per_warp
     }
+
+    /// Appends this kernel's structural identity to `out`: the program
+    /// (launch geometry and every slot, via
+    /// [`encode_program_identity`]), then per PC its release flags and
+    /// reconvergence entry, the exempt set, `num_regs`, and
+    /// `max_held_per_warp` — every field the simulator reads, so two
+    /// kernels that encode equal execute identically. The name, the
+    /// renamed set, statistics, lifetimes and the pressure profile are
+    /// reporting-only and stay out. One pass, no formatting; `rfv-sim`
+    /// hashes these bytes into the kernel hash that binds checkpoints.
+    pub fn encode_identity(&self, out: &mut Vec<u8>) {
+        // destructured so a new field has to be classified here
+        let CompiledKernel {
+            kernel,
+            flags,
+            reconv,
+            renamed: _,
+            exempt,
+            stats: _,
+            lifetimes: _,
+            max_held_per_warp,
+            pressure_profile: _,
+        } = self;
+        encode_program_identity(kernel, out);
+        out.reserve(5 * flags.len() + 24);
+        for (f, r) in flags.iter().zip(reconv) {
+            out.push(f.bits());
+            out.extend_from_slice(&r.to_le_bytes());
+        }
+        out.extend_from_slice(&exempt.bits().to_le_bytes());
+        out.extend_from_slice(&(kernel.num_regs() as u64).to_le_bytes());
+        out.extend_from_slice(&(*max_held_per_warp as u64).to_le_bytes());
+    }
 }
 
 /// Compiles a fresh kernel: lifetime analysis, release-point
@@ -214,12 +261,17 @@ pub fn compile(kernel: &Kernel, options: &CompileOptions) -> Result<CompiledKern
 
     // reconvergence table over all conditional branches (the runtime
     // mask decides whether a branch actually diverges)
-    let mut reconv = HashMap::new();
+    let mut reconv = vec![NOT_A_BRANCH; insertion.items.len()];
     for b in cfg.cond_branch_blocks() {
         let old_branch_pc = cfg.block(b).end - 1;
         let new_branch_pc = insertion.pc_map[old_branch_pc];
-        let target = pdom.ipdom(b).map(|r| insertion.block_start[r.0]);
-        reconv.insert(new_branch_pc, target);
+        reconv[new_branch_pc] = match pdom.ipdom(b) {
+            Some(r) => u32::try_from(insertion.block_start[r.0])
+                .ok()
+                .filter(|&pc| pc < AT_PROGRAM_END)
+                .expect("reconvergence PC fits the table"),
+            None => AT_PROGRAM_END,
+        };
     }
 
     let machine_instrs = cfg.instrs().len();
@@ -258,10 +310,8 @@ pub fn compile(kernel: &Kernel, options: &CompileOptions) -> Result<CompiledKern
         .map_err(CompileError::Internal)?;
 
     debug_assert_eq!(rewritten.len(), insertion.flags.len());
-    debug_assert!(reconv.keys().all(|&pc| {
-        rewritten.items()[pc]
-            .as_instr()
-            .is_some_and(|i| i.opcode == Opcode::Bra)
+    debug_assert!(reconv.iter().zip(rewritten.items()).all(|(&r, item)| {
+        r == NOT_A_BRANCH || item.as_instr().is_some_and(|i| i.opcode == Opcode::Bra)
     }));
 
     Ok(CompiledKernel {
@@ -280,6 +330,7 @@ pub fn compile(kernel: &Kernel, options: &CompileOptions) -> Result<CompiledKern
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfv_isa::kernel::ProgItem;
     use rfv_isa::prelude::*;
     use rfv_isa::{PredGuard, Special};
 
@@ -366,6 +417,211 @@ mod tests {
         let ck = compile(&sample_kernel(), &CompileOptions::default()).unwrap();
         let err = compile(ck.kernel(), &CompileOptions::default()).unwrap_err();
         assert!(matches!(err, CompileError::Cfg(_)));
+    }
+
+    /// A kernel with every field the simulator reads in play: a
+    /// special register, a load offset, a three-operand IMAD, a
+    /// compare, a `SEL`, and a guarded branch whose arms release a
+    /// register at the join (a `pir` and a `pbr`).
+    fn identity_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("identity");
+        b.s2r(ArchReg::R0, Special::TidX);
+        b.ldg(ArchReg::R1, ArchReg::R0, 0x40);
+        b.imad(ArchReg::R2, ArchReg::R1, Operand::Imm(3), ArchReg::R0);
+        b.isetp(Cond::Lt, Pred::P0, ArchReg::R0, Operand::Imm(16));
+        b.sel(ArchReg::R4, ArchReg::R2, Operand::Imm(7), Pred::P0);
+        b.guard(PredGuard::if_false(Pred::P0));
+        b.bra("else");
+        b.iadd(ArchReg::R3, ArchReg::R4, 1);
+        b.bra("join");
+        b.label("else");
+        b.iadd(ArchReg::R3, ArchReg::R4, 2);
+        b.label("join");
+        b.stg(ArchReg::R0, ArchReg::R3, 0);
+        b.exit();
+        b.build(LaunchConfig::new(16, 256, 4)).unwrap()
+    }
+
+    /// The kernel hash as `rfv_sim::kernel_identity_hash` computes it
+    /// (FNV-1a over the identity bytes; `tests/compiler_properties.rs`
+    /// pins the two together).
+    fn identity_hash(ck: &CompiledKernel) -> u64 {
+        let mut bytes = Vec::new();
+        ck.encode_identity(&mut bytes);
+        rfv_trace::wire::fnv1a(&bytes)
+    }
+
+    /// A copy of `base` changed by `f`.
+    fn changed(base: &CompiledKernel, f: impl FnOnce(&mut CompiledKernel)) -> CompiledKernel {
+        let mut ck = base.clone();
+        f(&mut ck);
+        ck
+    }
+
+    /// A copy of `base` with program slot `pc` rewritten by `f`.
+    fn with_item(
+        base: &CompiledKernel,
+        pc: usize,
+        f: impl FnOnce(&mut ProgItem),
+    ) -> CompiledKernel {
+        changed(base, |ck| {
+            let mut items = ck.kernel.items().to_vec();
+            f(&mut items[pc]);
+            ck.kernel = Kernel::new(ck.kernel.name(), items, ck.kernel.launch())
+                .expect("perturbed kernel stays valid");
+        })
+    }
+
+    /// A copy of `base` with the machine instruction at `pc` rewritten.
+    fn with_instr(
+        base: &CompiledKernel,
+        pc: usize,
+        f: impl FnOnce(&mut rfv_isa::Instr),
+    ) -> CompiledKernel {
+        with_item(base, pc, |item| match item {
+            ProgItem::Instr(i) => f(i),
+            other => panic!("not a machine instruction: {other:?}"),
+        })
+    }
+
+    #[test]
+    fn identity_covers_every_field_the_simulator_reads() {
+        let base = compile(&identity_kernel(), &CompileOptions::default()).unwrap();
+        let items = base.kernel().items();
+        let pc_of = |want: &dyn Fn(&ProgItem) -> bool| items.iter().position(want).unwrap();
+        let op = |o: Opcode| pc_of(&|it| it.as_instr().is_some_and(|i| i.opcode == o));
+        let s2r = op(Opcode::S2r(Special::TidX));
+        let (ldg, imad, sel, iadd) = (
+            op(Opcode::Ldg),
+            op(Opcode::Imad),
+            op(Opcode::Sel),
+            op(Opcode::Iadd),
+        );
+        let isetp = op(Opcode::Isetp(Cond::Lt));
+        let branch = pc_of(&|it| {
+            it.as_instr()
+                .is_some_and(|i| i.opcode == Opcode::Bra && i.guard.is_some())
+        });
+        let pir = pc_of(&|it| matches!(it, ProgItem::Pir(p) if p.any()));
+        let pbr = pc_of(&|it| matches!(it, ProgItem::Pbr(p) if !p.is_empty()));
+        assert!(
+            base.reconv[branch] < AT_PROGRAM_END,
+            "the branch reconverges in the program"
+        );
+        let relaunched = |grid, tpc, conc| {
+            changed(&base, |ck| {
+                ck.kernel = ck
+                    .kernel
+                    .clone()
+                    .with_launch(LaunchConfig::new(grid, tpc, conc))
+            })
+        };
+
+        let perturbed = [
+            (
+                "opcode",
+                with_instr(&base, iadd, |i| i.opcode = Opcode::Isub),
+            ),
+            (
+                "compare variant",
+                with_instr(&base, isetp, |i| i.opcode = Opcode::Isetp(Cond::Le)),
+            ),
+            (
+                "special variant",
+                with_instr(&base, s2r, |i| i.opcode = Opcode::S2r(Special::CtaIdX)),
+            ),
+            (
+                "operand 0",
+                with_instr(&base, imad, |i| i.srcs[0] = Operand::Reg(ArchReg::R3)),
+            ),
+            (
+                "operand 1",
+                with_instr(&base, imad, |i| i.srcs[1] = Operand::Imm(4)),
+            ),
+            (
+                "operand 2 kind",
+                with_instr(&base, imad, |i| i.srcs[2] = Operand::Imm(0)),
+            ),
+            (
+                "dst",
+                with_instr(&base, iadd, |i| i.dst = Some(ArchReg::R1)),
+            ),
+            (
+                "pdst",
+                with_instr(&base, isetp, |i| i.pdst = Some(Pred::P1)),
+            ),
+            ("psrc", with_instr(&base, sel, |i| i.psrc = Some(Pred::P1))),
+            (
+                "guard predicate",
+                with_instr(&base, branch, |i| {
+                    i.guard = Some(PredGuard::if_false(Pred::P1))
+                }),
+            ),
+            (
+                "guard polarity",
+                with_instr(&base, branch, |i| {
+                    i.guard = Some(PredGuard::if_true(Pred::P0))
+                }),
+            ),
+            (
+                "mem_offset",
+                with_instr(&base, ldg, |i| i.mem_offset = 0x44),
+            ),
+            (
+                "branch target",
+                with_instr(&base, branch, |i| i.target = Some(0)),
+            ),
+            (
+                "pir flag",
+                with_item(&base, pir, |it| match it {
+                    ProgItem::Pir(p) => p.set_flags(17, ReleaseFlags::from_bits(0b100)),
+                    other => panic!("not a pir: {other:?}"),
+                }),
+            ),
+            (
+                "pbr register",
+                with_item(&base, pbr, |it| match it {
+                    ProgItem::Pbr(p) => p.push(ArchReg::new(9)).expect("pbr has room"),
+                    other => panic!("not a pbr: {other:?}"),
+                }),
+            ),
+            (
+                "release flags",
+                changed(&base, |ck| {
+                    ck.flags[imad] = ReleaseFlags::from_bits(ck.flags[imad].bits() ^ 0b100)
+                }),
+            ),
+            (
+                "reconvergence pc",
+                changed(&base, |ck| ck.reconv[branch] += 1),
+            ),
+            (
+                "exempt set",
+                changed(&base, |ck| {
+                    let r = ArchReg::new(9);
+                    if !ck.exempt.insert(r) {
+                        ck.exempt.remove(r);
+                    }
+                }),
+            ),
+            (
+                "max_held_per_warp",
+                changed(&base, |ck| ck.max_held_per_warp += 1),
+            ),
+            ("grid CTAs", relaunched(17, 256, 4)),
+            ("threads per CTA", relaunched(16, 128, 4)),
+            ("concurrent CTAs", relaunched(16, 256, 5)),
+        ];
+        let mut seen = std::collections::HashSet::from([identity_hash(&base)]);
+        for (what, ck) in &perturbed {
+            assert!(
+                seen.insert(identity_hash(ck)),
+                "perturbing the {what} must change the kernel hash"
+            );
+        }
+        // and nothing else moves it: a fresh compile hashes equal
+        let again = compile(&identity_kernel(), &CompileOptions::default()).unwrap();
+        assert_eq!(identity_hash(&again), identity_hash(&base));
     }
 
     #[test]

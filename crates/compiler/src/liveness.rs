@@ -52,6 +52,11 @@ impl RegSet {
         RegSet(self.0 & other.0)
     }
 
+    /// The raw bitmask (bit `i` set iff `ri` is in the set).
+    pub(crate) fn bits(self) -> u64 {
+        self.0
+    }
+
     /// Number of registers in the set.
     pub fn len(self) -> usize {
         self.0.count_ones() as usize

@@ -410,6 +410,96 @@ pub fn encode_kernel(kernel: &Kernel) -> Result<Vec<u8>, BinaryError> {
     Ok(out)
 }
 
+// --- structural identity --------------------------------------------------
+
+/// Byte standing for an absent optional field in the identity encoding
+/// (every present value — register id, predicate index, packed guard —
+/// is smaller).
+const ID_NONE: u8 = 0xff;
+
+/// Appends the structural identity of `kernel`'s program to `out`: the
+/// launch geometry, the slot count, then every slot — a kind tag, then
+/// for a machine instruction its opcode and condition or
+/// special-register variant (numbered as in the binary image), `dst`,
+/// `pdst`, `psrc`, guard, each operand's kind and value, `mem_offset`
+/// and branch target; for a `pir` its 64-bit word; for a `pbr` its
+/// register list. The kernel name is not part of it.
+///
+/// The encoding is injective — two programs append equal bytes exactly
+/// when their geometry and slots are equal — and costs one pass with
+/// no allocation beyond `out`'s growth and no text formatting. It keys
+/// in-memory memos and identity hashes; unlike [`encode_kernel`] it is
+/// not a file format, and it can change between builds.
+pub fn encode_program_identity(kernel: &Kernel, out: &mut Vec<u8>) {
+    let launch = kernel.launch();
+    out.reserve(20 + kernel.len() * 24);
+    out.extend_from_slice(&launch.grid_ctas().to_le_bytes());
+    out.extend_from_slice(&launch.threads_per_cta().to_le_bytes());
+    out.extend_from_slice(&launch.max_conc_ctas_per_sm().to_le_bytes());
+    out.extend_from_slice(&(kernel.len() as u64).to_le_bytes());
+    for item in kernel.items() {
+        encode_item_identity(item, out);
+    }
+}
+
+/// Appends one slot of [`encode_program_identity`]. Prefix-free, so a
+/// sequence of slots encodes injectively too.
+fn encode_item_identity(item: &ProgItem, out: &mut Vec<u8>) {
+    match item {
+        ProgItem::Instr(i) => {
+            // destructured so a new field cannot be left out silently
+            let Instr {
+                opcode,
+                dst,
+                pdst,
+                srcs,
+                psrc,
+                mem_offset,
+                target,
+                guard,
+            } = i;
+            let code = opcode_code(*opcode).to_le_bytes();
+            let pred = |p: Option<Pred>| p.map_or(ID_NONE, |p| p.index() as u8);
+            out.extend_from_slice(&[
+                0,
+                code[0],
+                code[1],
+                variant_bits(*opcode) as u8,
+                dst.map_or(ID_NONE, ArchReg::raw),
+                pred(*pdst),
+                pred(*psrc),
+                guard.map_or(ID_NONE, |g| g.pred.index() as u8 | u8::from(g.negated) << 2),
+                srcs.len() as u8,
+            ]);
+            for op in srcs {
+                let (kind, value) = match *op {
+                    Operand::Reg(r) => (0u8, u32::from(r.raw())),
+                    Operand::Imm(v) => (1u8, v as u32),
+                };
+                out.push(kind);
+                out.extend_from_slice(&value.to_le_bytes());
+            }
+            out.extend_from_slice(&mem_offset.to_le_bytes());
+            match target {
+                Some(t) => {
+                    out.push(1);
+                    out.extend_from_slice(&(*t as u64).to_le_bytes());
+                }
+                None => out.push(0),
+            }
+        }
+        ProgItem::Pir(p) => {
+            out.push(1);
+            out.extend_from_slice(&p.encode().to_le_bytes());
+        }
+        ProgItem::Pbr(p) => {
+            out.push(2);
+            out.push(p.len() as u8);
+            out.extend(p.regs().iter().map(|r| r.raw()));
+        }
+    }
+}
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -632,6 +722,31 @@ mod tests {
             let decoded = code_opcode(opcode_code(op), variant_bits(op)).unwrap();
             assert_eq!(decoded, op, "{op:?}");
         }
+    }
+
+    #[test]
+    fn program_identity_is_structural() {
+        let id = |k: &Kernel| {
+            let mut bytes = Vec::new();
+            encode_program_identity(k, &mut bytes);
+            bytes
+        };
+        let k = sample();
+        // a decoded image and a renamed copy are the same program
+        let back = decode_kernel(&encode_kernel(&k).unwrap()).unwrap();
+        assert_eq!(id(&back), id(&k));
+        let renamed = Kernel::new("other", k.items().to_vec(), k.launch()).unwrap();
+        assert_eq!(id(&renamed), id(&k));
+        // one immediate or one launch dimension is a different program
+        let mut items = k.items().to_vec();
+        match &mut items[1] {
+            ProgItem::Instr(i) => i.srcs[1] = Operand::Imm(5),
+            other => panic!("slot 1 is the IMAD, got {other:?}"),
+        }
+        let changed = Kernel::new(k.name(), items, k.launch()).unwrap();
+        assert_ne!(id(&changed), id(&k));
+        let relaunched = k.clone().with_launch(LaunchConfig::new(3, 96, 3));
+        assert_ne!(id(&relaunched), id(&k));
     }
 
     #[test]

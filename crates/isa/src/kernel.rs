@@ -215,10 +215,13 @@ impl Kernel {
     /// kernel" (Table 1): allocation is by highest id, not by the count
     /// of distinct ids.
     pub fn num_regs(&self) -> usize {
-        self.regs_used()
+        self.items
             .iter()
-            .next_back()
-            .map_or(0, |r| r.index() + 1)
+            .filter_map(ProgItem::as_instr)
+            .flat_map(|i| i.reads().chain(i.writes()))
+            .map(|r| r.index() + 1)
+            .max()
+            .unwrap_or(0)
             .min(MAX_REGS_PER_THREAD)
     }
 

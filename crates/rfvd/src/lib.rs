@@ -8,7 +8,7 @@
 //!
 //! * **`rfv-job-v1` protocol** ([`proto`]): length-prefixed frames
 //!   carrying checksummed, versioned envelopes — same container
-//!   discipline as the `rfv-ckpt-v1` checkpoint format. Every
+//!   discipline as the `rfv-ckpt-v2` checkpoint format. Every
 //!   rejection is a typed [`proto::ErrorCode`].
 //! * **Bounded queueing** ([`queue`]): two priority lanes with hard
 //!   capacity and typed `QueueFull` backpressure.
@@ -33,7 +33,7 @@
 //! * **Checkpoint-backed preemption** ([`server`]): jobs execute in
 //!   bounded cycle slices on [`rfv_sim::SlicedSim`]; when
 //!   high-priority work arrives, a normal job snapshots into an
-//!   `rfv-ckpt-v1` checkpoint at the slice boundary and resumes later
+//!   `rfv-ckpt-v2` checkpoint at the slice boundary and resumes later
 //!   — with final statistics byte-identical to an uninterrupted run.
 //!
 //! Binaries: `rfvd` (the server, with graceful SIGTERM drain) and

@@ -12,7 +12,7 @@
 //!   "durable" are the same event.
 //! * `job-<id>.ckpt` — optional: the job's latest preemption
 //!   checkpoint (a `u32` preemption count followed by the §6f
-//!   `rfv-ckpt-v1` container). Refreshed at every preemption, so a
+//!   `rfv-ckpt-v2` container). Refreshed at every preemption, so a
 //!   crash mid-run resumes from the last slice boundary instead of
 //!   recomputing from scratch. Advisory only: if it fails to decode
 //!   or resume, the job reruns from the start — results are
@@ -56,7 +56,7 @@ pub struct SpooledJob {
     /// The original submission, exactly as accepted.
     pub request: JobRequest,
     /// Last preemption snapshot, if any: (preemption count so far,
-    /// raw `rfv-ckpt-v1` bytes). Decoding is the caller's business —
+    /// raw `rfv-ckpt-v2` bytes). Decoding is the caller's business —
     /// and allowed to fail.
     pub checkpoint: Option<(u32, Vec<u8>)>,
 }

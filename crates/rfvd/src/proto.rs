@@ -2,7 +2,7 @@
 //!
 //! Every message travels as one *frame*: a little-endian `u32` length
 //! followed by that many payload bytes. The payload is a checksummed
-//! envelope in the style of the `rfv-ckpt-v1` checkpoint container:
+//! envelope in the style of the `rfv-ckpt-v2` checkpoint container:
 //!
 //! ```text
 //! +----------+---------+------+------   -+----------+

@@ -3,8 +3,9 @@
 //!
 //! Two forms are accepted:
 //!
-//! * a Table 1 suite name (`"VectorAdd"`, `"Gaussian"`, ...), resolved
-//!   through [`rfv_workloads::suite::by_name`];
+//! * a Table 1 suite name (`"VectorAdd"`, `"Gaussian"`, ...), checked
+//!   against [`rfv_workloads::TABLE1`] at parse time (nothing is built)
+//!   and resolved through [`rfv_workloads::suite::by_name`];
 //! * a synthetic-kernel expression `synth:key=val,key=val,...`
 //!   mapping onto [`rfv_workloads::SynthParams`] plus the
 //!   `chain_repeats` knob of [`rfv_workloads::synth_repeated`]:
@@ -28,7 +29,7 @@
 //! worker panic" airtight at the workload layer.
 
 use rfv_isa::prelude::Kernel;
-use rfv_workloads::{suite, synth_repeated, SynthParams};
+use rfv_workloads::{paper_geometry, suite, synth_repeated, SynthParams};
 
 /// A validated workload spec. Building the kernel cannot fail.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -58,7 +59,7 @@ impl JobSpec {
         if let Some(body) = spec.strip_prefix("synth:") {
             return parse_synth(body);
         }
-        if suite::by_name(spec).is_some() {
+        if paper_geometry(spec).is_some() {
             return Ok(JobSpec::Suite(spec.to_string()));
         }
         Err(format!(

@@ -93,7 +93,7 @@ fn shrink_buffers(stream: &std::net::TcpStream) {
 #[cfg(target_os = "linux")]
 #[test]
 fn pipelined_frames_split_across_pollout_drains() {
-    use std::io::Write as _;
+    use std::time::Duration;
 
     use rfvd::proto::{read_frame, write_frame, Request};
 
@@ -101,28 +101,38 @@ fn pipelined_frames_split_across_pollout_drains() {
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     shrink_buffers(&stream);
+    // a wedged connection fails the test in seconds instead of
+    // waiting out TCP's retransmission give-up
+    let timeout = Some(Duration::from_secs(10));
+    stream.set_read_timeout(timeout).unwrap();
+    stream.set_write_timeout(timeout).unwrap();
 
-    // pipeline a burst of stats requests without reading a single
-    // reply: the replies overflow the shrunken buffers, so the mux
-    // must park them in its out-buffer and drain over many POLLOUT
-    // rounds as we read
+    // pipeline a burst of stats requests while a second thread drains
+    // the replies: the replies overflow the shrunken buffers, so the
+    // mux must park them in its out-buffer and drain over many POLLOUT
+    // rounds. The reads must run concurrently with the writes — a
+    // client that writes all 64 frames before reading any stops
+    // draining its own receive queue, the server's replies back up to
+    // a zero window, and both ends stall with requests still in flight
     const BURST: usize = 64;
-    let payload = Request::Stats.encode();
-    for _ in 0..BURST {
-        write_frame(&mut stream, &payload).unwrap();
-    }
-    stream.flush().unwrap();
-
-    for i in 0..BURST {
-        let frame = read_frame(&mut stream)
-            .unwrap_or_else(|e| panic!("reply {i}: {e}"))
-            .unwrap_or_else(|| panic!("reply {i}: connection closed early"));
-        match Response::decode(&frame) {
-            Ok(Response::Stats(s)) => {
-                assert!(s.conns_total >= 1, "reply {i}: nonsense counters");
+    let mut replies = stream.try_clone().unwrap();
+    let reader = std::thread::spawn(move || {
+        for i in 0..BURST {
+            let frame = read_frame(&mut replies)
+                .unwrap_or_else(|e| panic!("reply {i}: {e}"))
+                .unwrap_or_else(|| panic!("reply {i}: connection closed early"));
+            match Response::decode(&frame) {
+                Ok(Response::Stats(s)) => {
+                    assert!(s.conns_total >= 1, "reply {i}: nonsense counters");
+                }
+                other => panic!("reply {i}: {other:?}"),
             }
-            other => panic!("reply {i}: {other:?}"),
         }
+    });
+    let payload = Request::Stats.encode();
+    for i in 0..BURST {
+        write_frame(&mut stream, &payload).unwrap_or_else(|e| panic!("request {i}: {e}"));
     }
+    reader.join().expect("every reply arrives intact");
     handle.join();
 }

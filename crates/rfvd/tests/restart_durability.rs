@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use rfv_sim::{Checkpoint, CKPT_VERSION};
 use rfvd::client::Client;
 use rfvd::proto::{JobRequest, JobResult, Response};
 
@@ -135,12 +136,22 @@ fn sigkilled_daemon_replays_every_accepted_job_byte_identically() {
         "SIGKILL with queued jobs must leave unfinished spool records"
     );
 
-    // sabotage one record's checkpoint: it must degrade to a rerun,
-    // not a failure (checkpoints are advisory)
-    let victim = unfinished[0];
-    let mut garbage = 1u32.to_le_bytes().to_vec();
-    garbage.extend_from_slice(b"not a checkpoint");
-    std::fs::write(spool.join(format!("job-{victim:016x}.ckpt")), garbage).unwrap();
+    // sabotage checkpoints: garbage, and a well-formed container from
+    // an older build (an earlier checkpoint version) — each must
+    // degrade to a rerun, not a failure (checkpoints are advisory)
+    let older_build = Checkpoint {
+        version: CKPT_VERSION - 1,
+        config_hash: 0,
+        kernel_hash: 0,
+        cycle: 1,
+        sm_frames: vec![Vec::new()],
+    };
+    let sabotage: [&[u8]; 2] = [b"not a checkpoint", &older_build.to_bytes()];
+    for (victim, body) in unfinished.iter().zip(sabotage) {
+        let mut record = 1u32.to_le_bytes().to_vec();
+        record.extend_from_slice(body);
+        std::fs::write(spool.join(format!("job-{victim:016x}.ckpt")), record).unwrap();
+    }
 
     // life 2: same spool, fresh process — every unfinished job runs
     let daemon = Daemon::spawn(&spool);

@@ -1,4 +1,4 @@
-//! The `rfv-ckpt-v1` checkpoint container: a versioned, checksummed,
+//! The `rfv-ckpt-v2` checkpoint container: a versioned, checksummed,
 //! zero-dependency binary file holding every SM's mid-run machine
 //! state.
 //!
@@ -7,7 +7,7 @@
 //! | section       | contents                                     |
 //! |---------------|----------------------------------------------|
 //! | magic         | 8 bytes `rfv-ckpt`                           |
-//! | version       | `u32`, currently 1                           |
+//! | version       | `u32`, currently 2                           |
 //! | config hash   | `u64` — [`SimConfig::stable_hash`]           |
 //! | kernel hash   | `u64` — [`kernel_identity_hash`]             |
 //! | cycle         | `u64` — the boundary the snapshot was taken at |
@@ -29,8 +29,10 @@ use crate::sm::SimError;
 /// Leading magic of every checkpoint file.
 pub const CKPT_MAGIC: [u8; 8] = *b"rfv-ckpt";
 
-/// Current container version.
-pub const CKPT_VERSION: u32 = 1;
+/// Current container version. Version 2 changed what the kernel-hash
+/// field means (a structural encoding replaced text renderings), so a
+/// version-1 file is refused by its version, not as a different kernel.
+pub const CKPT_VERSION: u32 = 2;
 
 /// One whole-GPU snapshot: per-SM machine frames plus the identity
 /// hashes that pin which run they belong to.
@@ -49,7 +51,7 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serializes to the `rfv-ckpt-v1` byte layout, checksum included.
+    /// Serializes to the `rfv-ckpt-v2` byte layout, checksum included.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.raw(&CKPT_MAGIC);
@@ -165,31 +167,15 @@ impl Checkpoint {
 }
 
 /// A stable identity hash over everything the simulator reads from a
-/// compiled kernel: program items, per-PC release flags and
+/// compiled kernel: FNV-1a over [`CompiledKernel::encode_identity`]
+/// (program slots field by field, per-PC release flags and
 /// reconvergence points, the exempt set, register counts, and launch
-/// geometry. Two kernels that hash equal execute identically, so a
+/// geometry). Two kernels that hash equal execute identically, so a
 /// checkpoint from one resumes under the other.
 pub fn kernel_identity_hash(kernel: &CompiledKernel) -> u64 {
-    let mut e = Enc::new();
-    let k = kernel.kernel();
-    let launch = k.launch();
-    e.u32(launch.grid_ctas());
-    e.u32(launch.threads_per_cta());
-    e.u32(launch.max_conc_ctas_per_sm());
-    e.usize(kernel.num_regs());
-    e.usize(kernel.max_held_per_warp());
-    for r in kernel.exempt().iter() {
-        e.u8(r.raw());
-    }
-    e.usize(k.items().len());
-    for (pc, item) in k.items().iter().enumerate() {
-        // ProgItem has no wire codec of its own; its Debug rendering is
-        // deterministic and covers every field the simulator consumes
-        e.frame(format!("{item:?}").as_bytes());
-        e.opt_u64(kernel.reconv_at(pc).flatten().map(|r| r as u64));
-        e.frame(format!("{:?}", kernel.flags_at(pc)).as_bytes());
-    }
-    fnv1a(e.bytes())
+    let mut bytes = Vec::new();
+    kernel.encode_identity(&mut bytes);
+    fnv1a(&bytes)
 }
 
 #[cfg(test)]
@@ -241,6 +227,16 @@ mod tests {
         let bytes = ck.to_bytes(); // checksum is valid, version is not
         let err = Checkpoint::from_bytes(&bytes).expect_err("version must be rejected");
         assert!(matches!(err, SimError::BadCheckpoint(ref m) if m.contains("version")));
+    }
+
+    #[test]
+    fn version_one_files_fail_by_version() {
+        // a file from a build whose kernel hash rendered text: refused
+        // as an old version, never compared as "a different kernel"
+        let mut ck = sample();
+        ck.version = 1;
+        let err = Checkpoint::from_bytes(&ck.to_bytes()).expect_err("v1 must be rejected");
+        assert!(matches!(err, SimError::BadCheckpoint(ref m) if m.contains("version 1")));
     }
 
     #[test]

@@ -193,10 +193,10 @@ impl PredecodedKernel {
     }
 
     /// [`crate::checkpoint::kernel_identity_hash`] of the source
-    /// kernel, memoized here because computing it walks (and formats)
-    /// the whole program — sharing the predecoded image across runs
-    /// also shares the hash, so checkpoint identity binding costs
-    /// nothing per run.
+    /// kernel, computed once here because it walks the whole program
+    /// (one structural pass, no formatting) — sharing the predecoded
+    /// image across runs also shares the hash, so checkpoint identity
+    /// binding costs nothing per run.
     pub fn kernel_hash(&self) -> u64 {
         self.kernel_hash
     }

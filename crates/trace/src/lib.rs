@@ -22,7 +22,7 @@
 //!   counter/histogram [`MetricsRegistry`] serializable to JSON;
 //! * a checkpoint byte codec ([`wire`]): the fixed-width little-endian
 //!   [`wire::Enc`]/[`wire::Dec`] pair (plus FNV-1a hashing and a
-//!   [`TraceEvent`] codec) underpinning the simulator's `rfv-ckpt-v1`
+//!   [`TraceEvent`] codec) underpinning the simulator's `rfv-ckpt-v2`
 //!   snapshot format. Decoding is total — corrupt input is a typed
 //!   [`wire::WireError`], never a panic.
 //!

@@ -1,6 +1,6 @@
 //! A tiny zero-dependency binary codec for checkpoint frames.
 //!
-//! `rfv-sim` checkpoints (`rfv-ckpt-v1`) serialize every stateful
+//! `rfv-sim` checkpoints (`rfv-ckpt-v2`) serialize every stateful
 //! simulator component through this module: fixed-width little-endian
 //! integers, length-prefixed byte strings, and nothing else. The
 //! format is deliberately dumb — no varints, no compression — because

@@ -14,7 +14,7 @@
 use rfv_isa::prelude::*;
 use rfv_isa::{ArchReg as R, PredGuard, Special};
 
-use crate::table1::{paper_geometry, PaperGeometry};
+use crate::table1::{paper_geometry, PaperGeometry, TABLE1};
 
 /// Waves of concurrent CTAs simulated per benchmark.
 pub const SIM_WAVES: u32 = 3;
@@ -710,29 +710,36 @@ pub fn scalarprod() -> Workload {
 
 /// All sixteen benchmarks, in Table 1 order.
 pub fn all() -> Vec<Workload> {
-    vec![
-        matrixmul(),
-        blackscholes(),
-        dct8x8(),
-        reduction(),
-        vectoradd(),
-        backprop(),
-        bfs(),
-        heartwall(),
-        hotspot(),
-        lud(),
-        gaussian(),
-        lib(),
-        lps(),
-        nn(),
-        mum(),
-        scalarprod(),
-    ]
+    TABLE1
+        .iter()
+        .map(|g| by_name(g.name).expect("every Table 1 row has a kernel"))
+        .collect()
 }
 
-/// Looks up one benchmark by its Table 1 name.
+/// Looks up one benchmark by its Table 1 name, building only that
+/// kernel. Checking a name without building anything is
+/// [`crate::paper_geometry`]`(name).is_some()`.
 pub fn by_name(name: &str) -> Option<Workload> {
-    all().into_iter().find(|w| w.name() == name)
+    let build: fn() -> Workload = match name {
+        "MatrixMul" => matrixmul,
+        "BlackScholes" => blackscholes,
+        "DCT8x8" => dct8x8,
+        "Reduction" => reduction,
+        "VectorAdd" => vectoradd,
+        "BackProp" => backprop,
+        "BFS" => bfs,
+        "Heartwall" => heartwall,
+        "HotSpot" => hotspot,
+        "LUD" => lud,
+        "Gaussian" => gaussian,
+        "LIB" => lib,
+        "LPS" => lps,
+        "NN" => nn,
+        "MUM" => mum,
+        "ScalarProd" => scalarprod,
+        _ => return None,
+    };
+    Some(build())
 }
 
 #[cfg(test)]
@@ -757,12 +764,15 @@ mod tests {
 
     #[test]
     fn all_sixteen_present_and_unique() {
-        use crate::table1::TABLE1;
         let ws = all();
         assert_eq!(ws.len(), TABLE1.len());
-        for g in TABLE1 {
-            assert!(by_name(g.name).is_some(), "{} missing", g.name);
+        for (w, g) in ws.iter().zip(TABLE1) {
+            assert_eq!(w.name(), g.name, "all() keeps Table 1 order");
+            let one = by_name(g.name).unwrap_or_else(|| panic!("{} missing", g.name));
+            assert_eq!(one.name(), g.name, "by_name maps to the right kernel");
+            assert_eq!(one.kernel, w.kernel);
         }
+        assert!(by_name("NoSuch").is_none());
     }
 
     #[test]

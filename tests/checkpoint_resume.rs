@@ -8,6 +8,8 @@ use proptest::prelude::*;
 
 use rfv_bench::harness::{compile_full, Machine};
 use rfv_compiler::CompiledKernel;
+use rfv_isa::kernel::ProgItem;
+use rfv_isa::{Kernel, Operand};
 use rfv_sim::{
     simulate_resumable, simulate_resumable_traced, simulate_traced_checkpointed,
     simulate_traced_with_init, Checkpoint, SimConfig, SimError, TracedRun,
@@ -185,6 +187,37 @@ fn wrong_machine_resume_is_rejected() {
         simulate_resumable(&other_ck, &cfg, c),
         Err(SimError::BadCheckpoint(_))
     ));
+}
+
+/// A checkpoint refuses to resume under a kernel that differs from its
+/// own by a single immediate operand: the kernel hash covers operand
+/// values, not just the program's shape.
+#[test]
+fn one_immediate_different_kernel_resume_is_rejected() {
+    let w = suite::vectoradd();
+    let ck = compile_full(&w);
+    let cfg = SimConfig::baseline_full();
+    let (_, checkpoints) = run_with_checkpoints(&ck, &cfg, 300);
+    let c = checkpoints.first().expect("at least one checkpoint");
+
+    let mut items = w.kernel.items().to_vec();
+    let imm = items
+        .iter_mut()
+        .find_map(|it| match it {
+            ProgItem::Instr(i) => i.srcs.iter_mut().find_map(|op| match op {
+                Operand::Imm(v) => Some(v),
+                Operand::Reg(_) => None,
+            }),
+            _ => None,
+        })
+        .expect("VectorAdd has an immediate operand");
+    *imm += 1;
+    let kernel = Kernel::new(w.kernel.name(), items, w.kernel.launch()).expect("still valid");
+    let other = compile_full(&Workload { kernel, ..w });
+    match simulate_resumable(&other, &cfg, c) {
+        Err(SimError::BadCheckpoint(m)) => assert!(m.contains("different kernel"), "{m}"),
+        other => panic!("resume under a one-immediate-different kernel: {other:?}"),
+    }
 }
 
 proptest! {

@@ -228,3 +228,27 @@ proptest! {
         }
     }
 }
+
+/// Two independent compiles of a branchy kernel produce the same
+/// `CompiledKernel`, down to its `Debug` rendering (the reconvergence
+/// table is a dense per-PC list, so no hash-map iteration order leaks
+/// in) and its kernel hash — the hash being FNV-1a over exactly the
+/// bytes `CompiledKernel::encode_identity` writes.
+#[test]
+fn independent_compiles_render_and_hash_equal() {
+    let bfs = rfv_workloads::suite::bfs();
+    let a = compile(&bfs.kernel, &CompileOptions::default()).unwrap();
+    let b = compile(&bfs.kernel, &CompileOptions::default()).unwrap();
+    assert!(a.stats().num_divergent_branches > 0, "BFS must branch");
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(
+        rfv_sim::kernel_identity_hash(&a),
+        rfv_sim::kernel_identity_hash(&b)
+    );
+    let mut bytes = Vec::new();
+    a.encode_identity(&mut bytes);
+    assert_eq!(
+        rfv_sim::kernel_identity_hash(&a),
+        rfv_trace::wire::fnv1a(&bytes)
+    );
+}
