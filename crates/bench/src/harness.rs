@@ -2,17 +2,16 @@
 //! configurations, runs them, and converts simulator statistics into
 //! energy-model activity.
 
-use std::collections::HashMap;
 use std::io::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use rfv_compiler::{compile, spill_to_cap, CompileOptions, CompiledKernel};
+use rfv_compiler::{compile, spill_to_cap, CompileOptions};
 use rfv_core::VirtualizationPolicy;
 use rfv_isa::binary::encode_program_identity;
+use rfv_isa::Kernel;
 use rfv_power::model::RfActivity;
-use rfv_sim::{
-    simulate, simulate_predecoded, PredecodedKernel, SanitizeLevel, SimConfig, SimResult, SimStats,
-};
+use rfv_sim::cache::{flavor_options, Cache, CachedKernel};
+use rfv_sim::{simulate_predecoded, SanitizeLevel, SimConfig, SimResult, SimStats};
 use rfv_workloads::Workload;
 
 /// Process-wide sanitizer override for harness-driven experiments
@@ -33,37 +32,48 @@ pub fn sanitize_level() -> SanitizeLevel {
     SANITIZE.get().copied().unwrap_or_default()
 }
 
-/// Compiled-kernel memo shared by the `compile_*` helpers. Sweep
+/// Resident bounds of the harness's kernel and result caches. A full
+/// `figures all` sweep compiles 58 kernels and simulates 393 runs; the
+/// bounds only guard long-lived embedders against unbounded growth.
+/// Past them the least recently used entry is evicted and simply
+/// rebuilds on next sight.
+const KERNEL_CAPACITY: usize = 256;
+const RESULT_CAPACITY: usize = 1024;
+
+/// Compiles `kernel` under `opts`, once while it stays cached. Sweep
 /// drivers recompile the same workload at every sweep point (the
-/// compiler is pure, so the output is identical each time); the memo
-/// turns those repeats into a clone. Keyed by the exact bytes of the
-/// source kernel's structural identity
+/// compiler is pure, so the output is identical each time); every
+/// repeat returns the first compile's `Arc`. Keyed by the exact bytes
+/// of the source kernel's structural identity
 /// ([`encode_program_identity`]), the options, and the name (the
 /// compiled kernel carries it) — exact, not name-based, so a mutated
 /// kernel under a reused name cannot collide.
-static COMPILE_MEMO: OnceLock<Mutex<HashMap<Vec<u8>, CompiledKernel>>> = OnceLock::new();
-
-/// Entry cap for [`COMPILE_MEMO`]; saturates rather than evicts, like
-/// [`RESULT_MEMO_CAP`].
-const COMPILE_MEMO_CAP: usize = 256;
-
-fn compile_memoized(kernel: &rfv_isa::Kernel, opts: &CompileOptions) -> CompiledKernel {
+///
+/// Options that do not bind (an unconstrained table budget, a spill
+/// cap above the kernel's demand) compile to a kernel another key
+/// already produced, so the predecoded image is shared by the
+/// compiled kernel's own identity: one image per distinct kernel.
+fn compile_cached(kernel: &Kernel, opts: &CompileOptions) -> Arc<CachedKernel> {
+    static KERNELS: OnceLock<Cache<Vec<u8>, CachedKernel>> = OnceLock::new();
+    static IMAGES: OnceLock<Cache<Vec<u8>, CachedKernel>> = OnceLock::new();
     // destructured so a new option cannot be left out of the key
     let CompileOptions { table_budget_bytes } = *opts;
     let mut key = Vec::new();
     encode_program_identity(kernel, &mut key);
     key.extend_from_slice(&(table_budget_bytes as u64).to_le_bytes());
     key.extend_from_slice(kernel.name().as_bytes());
-    let memo = COMPILE_MEMO.get_or_init(Default::default);
-    if let Some(hit) = memo.lock().expect("compile memo lock").get(&key) {
-        return hit.clone();
-    }
-    let ck = compile(kernel, opts).expect("suite kernels compile");
-    let mut memo = memo.lock().expect("compile memo lock");
-    if memo.len() < COMPILE_MEMO_CAP {
-        memo.insert(key, ck.clone());
-    }
-    ck
+    let kernels = KERNELS.get_or_init(|| Cache::with_capacity(KERNEL_CAPACITY));
+    let built = kernels.get_or_build(key, || {
+        let compiled = compile(kernel, opts).map_err(|e| e.to_string())?;
+        let mut identity = Vec::new();
+        compiled.encode_identity(&mut identity);
+        let images = IMAGES.get_or_init(|| Cache::with_capacity(KERNEL_CAPACITY));
+        let (image, _) = images.get_or_build(identity, || Ok(CachedKernel::new(compiled)))?;
+        Ok(CachedKernel::clone(&image))
+    });
+    built
+        .unwrap_or_else(|e| panic!("suite kernels compile: {e}"))
+        .0
 }
 
 /// Compiles a workload with the paper's default 1 KB renaming-table
@@ -72,8 +82,8 @@ fn compile_memoized(kernel: &rfv_isa::Kernel, opts: &CompileOptions) -> Compiled
 /// # Panics
 ///
 /// Panics when compilation fails — suite kernels are known-good.
-pub fn compile_full(w: &Workload) -> CompiledKernel {
-    compile_memoized(&w.kernel, &CompileOptions::default())
+pub fn compile_full(w: &Workload) -> Arc<CachedKernel> {
+    compile_cached(&w.kernel, &flavor_options(true))
 }
 
 /// Compiles a workload with a zero renaming budget: no registers are
@@ -83,11 +93,8 @@ pub fn compile_full(w: &Workload) -> CompiledKernel {
 /// # Panics
 ///
 /// Panics when compilation fails.
-pub fn compile_plain(w: &Workload) -> CompiledKernel {
-    let opts = CompileOptions {
-        table_budget_bytes: 0,
-    };
-    compile_memoized(&w.kernel, &opts)
+pub fn compile_plain(w: &Workload) -> Arc<CachedKernel> {
+    compile_cached(&w.kernel, &flavor_options(false))
 }
 
 /// Compiles a workload with an effectively unlimited renaming-table
@@ -96,11 +103,11 @@ pub fn compile_plain(w: &Workload) -> CompiledKernel {
 /// # Panics
 ///
 /// Panics when compilation fails.
-pub fn compile_unconstrained(w: &Workload) -> CompiledKernel {
+pub fn compile_unconstrained(w: &Workload) -> Arc<CachedKernel> {
     let opts = CompileOptions {
         table_budget_bytes: 64 * 1024,
     };
-    compile_memoized(&w.kernel, &opts)
+    compile_cached(&w.kernel, &opts)
 }
 
 /// The register cap the *compiler-spill* baseline must hit so that a
@@ -118,54 +125,36 @@ pub fn spill_cap(w: &Workload, phys_regs: usize) -> usize {
 /// # Panics
 ///
 /// Panics when the spill pass or compilation fails.
-pub fn compile_spilled(w: &Workload, phys_regs: usize) -> CompiledKernel {
+pub fn compile_spilled(w: &Workload, phys_regs: usize) -> Arc<CachedKernel> {
     let cap = spill_cap(w, phys_regs);
     let spilled = spill_to_cap(&w.kernel, cap).expect("spill caps are feasible");
-    let opts = CompileOptions {
-        table_budget_bytes: 0,
-    };
-    compile_memoized(&spilled.kernel, &opts)
+    compile_cached(&spilled.kernel, &flavor_options(false))
 }
 
-/// Completed-run memo for [`run`]. The simulator is deterministic
-/// (the engine-equivalence and parallel-determinism suites assert
-/// bit-identical results across engines, thread counts, and
-/// checkpoint boundaries), so a repeated `(kernel, config)` pair —
-/// common across sweeps that share a baseline point, e.g. every
-/// sweep's `baseline_full` reference row — can reuse the first run's
-/// result verbatim. Keyed by the exact bytes of the compiled kernel's
-/// structural identity ([`CompiledKernel::encode_identity`], every
-/// field the simulator reads) followed by the resolved config's
+/// Runs a compiled kernel on its shared predecoded image, panicking on
+/// simulator errors (used by experiments where failure means a harness
+/// bug). The process-wide sanitize override (see [`set_sanitize`]) is
+/// applied unless the config already requests a level itself.
+///
+/// The simulator is deterministic (the engine-equivalence and
+/// parallel-determinism suites assert bit-identical results across
+/// engines, thread counts, and checkpoint boundaries), so each
+/// `(kernel, config)` pair is simulated once per process — common
+/// across sweeps that share a baseline point, e.g. every sweep's
+/// `baseline_full` reference row — and every repeat returns the first
+/// run's result. Keyed by the exact bytes of the compiled kernel's
+/// structural identity ([`rfv_compiler::CompiledKernel::encode_identity`],
+/// every field the simulator reads) followed by the resolved config's
 /// `Debug` rendering (small, and it covers fields the checkpoint
 /// config hash omits, such as `max_cycles`), so any semantic
 /// difference (compile options, shrink depth, sanitize level)
 /// produces a distinct key and a hit is exact, not approximate.
 ///
-/// The timed benchmark path ([`run_predecoded`], used by the `perf`
-/// harness's repeat loops) deliberately bypasses the memo: its
-/// repeats must exercise the engine, not a table lookup.
-static RESULT_MEMO: OnceLock<Mutex<HashMap<Vec<u8>, SimResult>>> = OnceLock::new();
-
-/// Memo entry cap. A full `figures all` sweep needs a few hundred
-/// entries; the cap only guards long-lived embedders against
-/// unbounded growth. On overflow the memo saturates (stops inserting)
-/// rather than evicting — results never change, so a stale entry is
-/// impossible and saturation merely lowers the hit rate.
-const RESULT_MEMO_CAP: usize = 1024;
-
-/// Runs a compiled kernel, panicking on simulator errors (used by
-/// experiments where failure means a harness bug). The process-wide
-/// sanitize override (see [`set_sanitize`]) is applied unless the
-/// config already requests a level itself.
-///
-/// Identical `(kernel, config)` pairs are memoized per process (see
-/// [`RESULT_MEMO`]); the first call simulates, later calls return a
-/// clone of the recorded result.
-///
 /// # Panics
 ///
 /// Panics when the simulation errors.
-pub fn run(kernel: &CompiledKernel, config: &SimConfig) -> SimResult {
+pub fn run(kernel: &CachedKernel, config: &SimConfig) -> Arc<SimResult> {
+    static RESULTS: OnceLock<Cache<Vec<u8>, SimResult>> = OnceLock::new();
     // test hook for the sweep-resilience suite: rig the named workload
     // to panic so journal/retry behaviour can be exercised end to end
     if let Ok(rigged) = std::env::var("RFV_RIG_PANIC") {
@@ -180,38 +169,13 @@ pub fn run(kernel: &CompiledKernel, config: &SimConfig) -> SimResult {
     let mut key = Vec::new();
     kernel.encode_identity(&mut key);
     write!(key, "{config:?}").expect("writing to a Vec cannot fail");
-    let memo = RESULT_MEMO.get_or_init(Default::default);
-    if let Some(hit) = memo.lock().expect("result memo lock").get(&key) {
-        return hit.clone();
-    }
-    // the lock is NOT held while simulating: concurrent workers may
-    // race on the same key and both simulate, but determinism makes
-    // the duplicate insert harmless
-    let result = simulate(kernel, &config).unwrap_or_else(|e| panic!("simulation failed: {e}"));
-    let mut memo = memo.lock().expect("result memo lock");
-    if memo.len() < RESULT_MEMO_CAP {
-        memo.insert(key, result.clone());
-    }
-    result
-}
-
-/// [`run`] reusing an already-predecoded program image, so timing
-/// loops repeat only the simulation itself (predecode + plan lowering
-/// happen once, outside the timed region).
-///
-/// # Panics
-///
-/// Panics when the simulation errors.
-pub fn run_predecoded(
-    kernel: &CompiledKernel,
-    config: &SimConfig,
-    prog: &Arc<PredecodedKernel>,
-) -> SimResult {
-    let mut config = *config;
-    if !config.sanitize.is_on() {
-        config.sanitize = sanitize_level();
-    }
-    simulate_predecoded(kernel, &config, prog).unwrap_or_else(|e| panic!("simulation failed: {e}"))
+    let results = RESULTS.get_or_init(|| Cache::with_capacity(RESULT_CAPACITY));
+    let simulated = results.get_or_build(key, || {
+        simulate_predecoded(kernel, &config, &kernel.predecoded).map_err(|e| e.to_string())
+    });
+    simulated
+        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+        .0
 }
 
 /// Converts an SM's statistics into energy-model activity counts.
@@ -256,16 +220,15 @@ impl Machine {
         }
     }
 
-    /// The binary this machine executes (with or without metadata).
-    pub fn compile(self, w: &Workload) -> CompiledKernel {
-        match self {
-            Machine::Conventional | Machine::HardwareOnly => compile_plain(w),
-            Machine::Full128 | Machine::Shrink64 => compile_full(w),
-        }
+    /// The binary this machine executes: with release metadata when
+    /// its policy honours release flags, without otherwise.
+    pub fn compile(self, w: &Workload) -> Arc<CachedKernel> {
+        let release_flags = self.config().regfile.policy.uses_release_flags();
+        compile_cached(&w.kernel, &flavor_options(release_flags))
     }
 
     /// Compile + run in one step.
-    pub fn run(self, w: &Workload) -> SimResult {
+    pub fn run(self, w: &Workload) -> Arc<SimResult> {
         run(&self.compile(w), &self.config())
     }
 }
@@ -305,4 +268,75 @@ pub const MACHINE_NAMES: [&str; 6] = [
 pub fn conventional_alloc(w: &Workload) -> usize {
     let launch = w.kernel.launch();
     w.kernel.num_regs() * launch.warps_per_cta() as usize * launch.max_conc_ctas_per_sm() as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfv_isa::kernel::ProgItem;
+    use rfv_isa::Operand;
+    use rfv_sim::simulate;
+    use rfv_workloads::suite;
+
+    #[test]
+    fn repeat_compiles_share_one_entry_per_flavor() {
+        let w = suite::vectoradd();
+        let full = compile_full(&w);
+        assert!(Arc::ptr_eq(&full, &compile_full(&w)));
+        assert!(Arc::ptr_eq(&full, &Machine::Full128.compile(&w)));
+        let plain = compile_plain(&w);
+        assert!(!Arc::ptr_eq(&full, &plain), "flavors are distinct entries");
+        assert!(Arc::ptr_eq(&plain, &Machine::HardwareOnly.compile(&w)));
+        // VectorAdd fits the default table budget, so the unconstrained
+        // compile is the same kernel under another key: one image
+        let unconstrained = compile_unconstrained(&w);
+        assert!(!Arc::ptr_eq(&full, &unconstrained));
+        assert!(Arc::ptr_eq(&full.predecoded, &unconstrained.predecoded));
+    }
+
+    #[test]
+    fn one_immediate_different_kernel_gets_its_own_entry_and_result() {
+        let w = suite::vectoradd();
+        let mut items = w.kernel.items().to_vec();
+        let imm = items
+            .iter_mut()
+            .find_map(|it| match it {
+                ProgItem::Instr(i) => i.srcs.iter_mut().find_map(|op| match op {
+                    Operand::Imm(v) => Some(v),
+                    Operand::Reg(_) => None,
+                }),
+                _ => None,
+            })
+            .expect("VectorAdd has an immediate operand");
+        *imm += 1;
+        let kernel = Kernel::new(w.kernel.name(), items, w.kernel.launch()).expect("still valid");
+        let other = Workload {
+            kernel,
+            ..w.clone()
+        };
+        let (a, b) = (compile_full(&w), compile_full(&other));
+        assert!(!Arc::ptr_eq(&a, &b), "same name, different kernel");
+        assert!(!Arc::ptr_eq(&a.predecoded, &b.predecoded));
+        let cfg = SimConfig::baseline_full();
+        let (ra, rb) = (run(&a, &cfg), run(&b, &cfg));
+        assert!(!Arc::ptr_eq(&ra, &rb), "each kernel has its own result");
+        assert_ne!(ra.memories, rb.memories, "the immediate is observable");
+        let fresh = simulate(&b, &cfg).expect("simulates");
+        assert_eq!(rb.per_sm, fresh.per_sm);
+        assert_eq!(rb.memories, fresh.memories);
+    }
+
+    #[test]
+    fn run_on_the_shared_image_matches_a_fresh_simulation() {
+        let w = suite::reduction();
+        for m in [Machine::Conventional, Machine::Full128, Machine::Shrink64] {
+            let (ck, cfg) = (m.compile(&w), m.config());
+            let cached = run(&ck, &cfg);
+            let fresh = simulate(&ck, &cfg).expect("simulates");
+            assert_eq!(cached.cycles, fresh.cycles, "{m:?}: cycles");
+            assert_eq!(cached.per_sm, fresh.per_sm, "{m:?}: stats");
+            assert_eq!(cached.memories, fresh.memories, "{m:?}: memories");
+            assert!(Arc::ptr_eq(&cached, &run(&ck, &cfg)), "{m:?}: repeat hits");
+        }
+    }
 }

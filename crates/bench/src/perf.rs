@@ -15,13 +15,12 @@
 //! perf-motivated change did not alter simulated behaviour.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
-use rfv_sim::PredecodedKernel;
+use rfv_sim::simulate_predecoded;
 
 use crate::figures::full_suite;
-use crate::harness::{self, Machine};
+use crate::harness::Machine;
 
 /// Workloads measured in `--quick` mode (CI smoke): enough to touch
 /// every policy's interesting paths without a full sweep.
@@ -107,17 +106,19 @@ pub fn run(quick: bool, repeat: usize) -> Vec<PolicyPerf> {
             let rows = suite
                 .iter()
                 .map(|w| {
-                    // compile, predecode, and plan-lower once: the
-                    // timed region repeats only the simulation itself
-                    let compiled = machine.compile(w);
+                    // the cached kernel is compiled, predecoded and
+                    // plan-lowered already, and the timed region calls
+                    // the simulator directly rather than the harness's
+                    // result cache: it repeats only the simulation
+                    let kernel = machine.compile(w);
                     let config = machine.config();
-                    let prog = Arc::new(PredecodedKernel::new(&compiled));
                     let mut best = f64::INFINITY;
                     let mut cycles = 0;
                     let mut instrs = 0;
                     for _ in 0..repeat {
                         let t0 = Instant::now();
-                        let result = harness::run_predecoded(&compiled, &config, &prog);
+                        let result = simulate_predecoded(&kernel, &config, &kernel.predecoded)
+                            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
                         let wall = t0.elapsed().as_secs_f64();
                         best = best.min(wall);
                         cycles = result.cycles;

@@ -1,314 +1,28 @@
-//! Per-kernel compile + predecode cache, bounded and build-coalescing.
+//! The daemon's compile + predecode cache: [`rfv_sim::cache::Cache`]
+//! keyed by [`crate::spec::JobSpec::cache_key`], an FNV-1a hash over
+//! the job spec's canonical form plus the compile flavor.
 //!
-//! Compilation (CFG, liveness, lifetime intervals, metadata packing)
-//! and predecode are pure: the same source kernel under the same
-//! compile flavor always produces the same [`CompiledKernel`] and
-//! [`PredecodedKernel`]. The daemon therefore memoizes both once per
-//! *kernel identity* — [`crate::spec::JobSpec::cache_key`], an FNV-1a
-//! hash over the job spec's canonical form plus the compile flavor —
-//! and every later job with the same identity reuses the `Arc`'d
-//! pair, paying zero generate, compile, and predecode cost. Keying by
-//! spec (not by built kernel) matters: a warm job never even
-//! constructs the source kernel.
-//!
-//! Two resource guarantees (PR 7):
-//!
-//! * **Bounded residency.** The cache holds at most `capacity`
-//!   kernels (0 = unbounded). Inserting past the bound evicts the
-//!   least-recently-used ready entry; eviction is counted and
-//!   surfaced through the daemon's `Stats` response. An evicted
-//!   kernel simply rebuilds on next sight — compilation is pure, so
-//!   the rebuilt entry is byte-identical.
-//! * **Single-flight builds.** A miss installs an in-flight marker
-//!   *before* building, so a second racing miss on the same key
-//!   blocks on the first build instead of duplicating the full
-//!   compile+predecode. Building still happens outside the map lock,
-//!   so a slow compile never stalls unrelated lookups. A failed
-//!   build is handed to every waiter but never cached.
+//! Every job with the same key reuses the `Arc`'d [`CachedKernel`],
+//! paying zero generate, compile, and predecode cost. Keying by spec
+//! (not by built kernel) matters: a warm job never even constructs
+//! the source kernel. The cache's LRU bound (`--cache-entries`),
+//! single-flight builds and hit/miss/eviction counters are
+//! `rfv_sim::cache`'s, shared with the experiment harness.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use rfv_sim::cache::Cache;
 
-use rfv_compiler::{compile, CompileOptions, CompiledKernel};
-use rfv_isa::prelude::Kernel;
-use rfv_sim::PredecodedKernel;
+pub use rfv_sim::cache::{compile_flavored, CachedKernel};
 
-/// A cached kernel: the compiled binary plus its issue-ready
-/// predecoded image. Both are pure functions of the source kernel
-/// and flavor, so every job with the same identity shares them.
-pub struct CachedKernel {
-    /// The compiled binary.
-    pub compiled: Arc<CompiledKernel>,
-    /// The predecoded program image every SM of every run reuses.
-    pub predecoded: Arc<PredecodedKernel>,
-}
-
-impl CachedKernel {
-    /// Compiles and predecodes `kernel` under `release_flags`.
-    ///
-    /// # Errors
-    ///
-    /// The compiler's error, stringified.
-    pub fn build(kernel: &Kernel, release_flags: bool) -> Result<CachedKernel, String> {
-        let compiled = Arc::new(compile_flavored(kernel, release_flags)?);
-        let predecoded = Arc::new(PredecodedKernel::new(&compiled));
-        Ok(CachedKernel {
-            compiled,
-            predecoded,
-        })
-    }
-}
-
-/// The in-flight rendezvous one building thread shares with its
-/// waiters: `result` is `None` until the build finishes.
-struct Flight {
-    result: Mutex<Option<Result<Arc<CachedKernel>, String>>>,
-    done: Condvar,
-}
-
-/// A resident entry plus the recency tick LRU eviction orders by.
-struct Ready {
-    kernel: Arc<CachedKernel>,
-    last_used: u64,
-}
-
-enum Slot {
-    /// Built and resident.
-    Ready(Ready),
-    /// A build is in flight; waiters block on the [`Flight`].
-    Building(Arc<Flight>),
-}
-
-struct Inner {
-    map: HashMap<u64, Slot>,
-    /// Monotonic recency clock; bumped on every hit and insert.
-    tick: u64,
-}
-
-impl Inner {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn ready_count(&self) -> usize {
-        self.map
-            .values()
-            .filter(|s| matches!(s, Slot::Ready(_)))
-            .count()
-    }
-
-    /// Evicts the least-recently-used ready entry. In-flight builds
-    /// are never evicted (there is nothing resident to drop yet).
-    fn evict_lru(&mut self) -> bool {
-        let victim = self
-            .map
-            .iter()
-            .filter_map(|(k, s)| match s {
-                Slot::Ready(r) => Some((*k, r.last_used)),
-                Slot::Building(_) => None,
-            })
-            .min_by_key(|&(_, used)| used)
-            .map(|(k, _)| k);
-        match victim {
-            Some(k) => {
-                self.map.remove(&k);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// A concurrent, bounded compile cache keyed by
-/// [`crate::spec::JobSpec::cache_key`]. See the module docs for the
+/// The daemon's bounded compile cache. See [`rfv_sim::cache`] for the
 /// eviction and build-coalescing contracts.
-pub struct CompileCache {
-    inner: Mutex<Inner>,
-    /// Maximum resident kernels; 0 means unbounded.
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for CompileCache {
-    fn default() -> CompileCache {
-        CompileCache::unbounded()
-    }
-}
-
-impl CompileCache {
-    /// A cache evicting LRU entries beyond `capacity` resident
-    /// kernels; `0` disables the bound.
-    pub fn with_capacity(capacity: usize) -> CompileCache {
-        CompileCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// An unbounded cache (embedders that manage their own lifetime).
-    pub fn unbounded() -> CompileCache {
-        CompileCache::with_capacity(0)
-    }
-
-    /// An empty unbounded cache.
-    pub fn new() -> CompileCache {
-        CompileCache::default()
-    }
-
-    /// Returns the cached kernel under `key`, running `build` (and
-    /// caching its result) on first sight. The `bool` is true on a
-    /// cache hit — including a wait on another thread's in-flight
-    /// build, which serves this caller without compiling anything.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `build` fails with (daemon input is validated, so in
-    /// practice this is unreachable for accepted specs). Waiters on a
-    /// failed in-flight build receive the same error; nothing is
-    /// cached either way.
-    pub fn get_or_build(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> Result<CachedKernel, String>,
-    ) -> Result<(Arc<CachedKernel>, bool), String> {
-        let my_flight: Arc<Flight>;
-        {
-            let mut inner = self.inner.lock().expect("cache lock");
-            match inner.map.get(&key) {
-                Some(Slot::Ready(_)) => {
-                    let tick = inner.touch();
-                    if let Some(Slot::Ready(r)) = inner.map.get_mut(&key) {
-                        r.last_used = tick;
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok((Arc::clone(&r.kernel), true));
-                    }
-                    unreachable!("entry vanished under the lock");
-                }
-                Some(Slot::Building(f)) => {
-                    // someone else is building this key: wait for
-                    // their result instead of duplicating the build
-                    let flight = Arc::clone(f);
-                    drop(inner);
-                    let mut result = flight.result.lock().expect("flight lock");
-                    while result.is_none() {
-                        result = flight.done.wait(result).expect("flight lock");
-                    }
-                    return match result.as_ref().expect("loop exits on Some") {
-                        Ok(kernel) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            Ok((Arc::clone(kernel), true))
-                        }
-                        Err(e) => Err(e.clone()),
-                    };
-                }
-                None => {
-                    // claim the key before building so racing misses
-                    // coalesce onto this build
-                    my_flight = Arc::new(Flight {
-                        result: Mutex::new(None),
-                        done: Condvar::new(),
-                    });
-                    inner
-                        .map
-                        .insert(key, Slot::Building(Arc::clone(&my_flight)));
-                }
-            }
-        }
-
-        // we own the build; run it outside the map lock
-        let built = build().map(Arc::new);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut inner = self.inner.lock().expect("cache lock");
-            match &built {
-                Ok(kernel) => {
-                    let tick = inner.touch();
-                    inner.map.insert(
-                        key,
-                        Slot::Ready(Ready {
-                            kernel: Arc::clone(kernel),
-                            last_used: tick,
-                        }),
-                    );
-                    if self.capacity > 0 {
-                        while inner.ready_count() > self.capacity {
-                            if !inner.evict_lru() {
-                                break;
-                            }
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                // a failed build must not poison the key
-                Err(_) => {
-                    inner.map.remove(&key);
-                }
-            }
-        }
-        // release the waiters, success or failure alike
-        *my_flight.result.lock().expect("flight lock") = Some(built.clone());
-        my_flight.done.notify_all();
-        built.map(|k| (k, false))
-    }
-
-    /// Cache hits so far (including coalesced waits on in-flight
-    /// builds).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (builds) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct kernels resident right now.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").ready_count()
-    }
-
-    /// Whether nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Compiles `kernel` under the daemon's two flavors: with the default
-/// renaming-table budget (virtualizing machines) or with a zero
-/// budget (conventional / hardware-only machines) — mirrors
-/// `rfv_bench::harness::{compile_full, compile_plain}` but returns
-/// the error instead of panicking.
-pub fn compile_flavored(kernel: &Kernel, release_flags: bool) -> Result<CompiledKernel, String> {
-    let opts = if release_flags {
-        CompileOptions::default()
-    } else {
-        CompileOptions {
-            table_budget_bytes: 0,
-        }
-    };
-    compile(kernel, &opts).map_err(|e| e.to_string())
-}
+pub type CompileCache = Cache<u64, CachedKernel>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::JobSpec;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn spec(s: &str) -> JobSpec {
         JobSpec::parse(s).unwrap()

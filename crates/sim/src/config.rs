@@ -62,15 +62,6 @@ pub struct SimConfig {
     /// Deterministic fault-injection plan perturbing the release
     /// machinery (see `rfv_faults`). Empty by default.
     pub faults: FaultPlan,
-    /// Differential-testing switch: compute idle-cycle skips with the
-    /// lazily-validated wake-event heap instead of the SoA warp-status
-    /// min-scan. The two are equivalent by construction; the
-    /// engine-equivalence suite runs both and asserts bit-identical
-    /// results. Off (scan) by default — with warp scheduling state in
-    /// contiguous SoA arrays, the branchless O(warps) sweep on idle
-    /// cycles is cheaper than pushing a heap entry on every warp
-    /// status transition.
-    pub incremental_wake_index: bool,
     /// Executable-spec switch: issue instructions through the original
     /// `match`-based interpreter instead of the precompiled
     /// threaded-code execution plan (see `sm::plan`). The plan is
@@ -104,7 +95,6 @@ impl SimConfig {
             sm_jobs: None,
             sanitize: SanitizeLevel::Off,
             faults: FaultPlan::none(),
-            incremental_wake_index: false,
             reference_interpreter: false,
         }
     }
@@ -132,11 +122,9 @@ impl SimConfig {
     /// parallel and sequential paths are bit-identical), `max_cycles`
     /// (the watchdog only decides when to give up, so a checkpoint
     /// from an aborted run may resume under a larger budget), and
-    /// `incremental_wake_index` (the two wake engines are equivalent by
-    /// construction and produce identical state), and
     /// `reference_interpreter` (the threaded-code plan and the
-    /// interpreter are byte-exact by the same contract, so a
-    /// checkpoint taken under one engine may resume under the other).
+    /// interpreter are byte-exact, so a checkpoint taken under one
+    /// engine may resume under the other).
     pub fn stable_hash(&self) -> u64 {
         let mut e = Enc::new();
         e.usize(self.num_sms);
@@ -236,7 +224,6 @@ mod tests {
         let mut b = a;
         b.sm_jobs = Some(4);
         b.max_cycles = 123;
-        b.incremental_wake_index = true;
         b.reference_interpreter = true;
         assert_eq!(a.stable_hash(), b.stable_hash());
         let mut c = a;

@@ -42,6 +42,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod cache;
 pub mod checkpoint;
 pub mod config;
 mod fp;

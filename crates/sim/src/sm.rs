@@ -256,7 +256,7 @@ pub struct Sm<'k> {
     config: SimConfig,
     kernel: &'k CompiledKernel,
     /// Issue-ready program image (see [`crate::predecode`]), built
-    /// once in [`Sm::new`].
+    /// once per kernel and shared (see [`Sm::with_predecoded`]).
     prog: Arc<PredecodedKernel>,
     policy: VirtualizationPolicy,
     regfile: RegisterFile,
@@ -301,14 +301,6 @@ pub struct Sm<'k> {
     next_assigned: usize,
     cta_slots: Vec<Option<CtaState>>,
     load_events: BinaryHeap<Reverse<(u64, usize, u8)>>,
-    /// Incremental next-wake index over warps: `(cycle, slot)` pushed
-    /// at every transition into `Ready` / `SwappedOut` and at every
-    /// `next_issue_at` update, validated lazily at pop. Populated and
-    /// consulted only under [`SimConfig::incremental_wake_index`] —
-    /// the production path sweeps the SoA status arrays instead (see
-    /// [`Sm::next_event_cycle_scan`]), which profiles faster because
-    /// it costs nothing on the issue path.
-    wake_events: BinaryHeap<Reverse<(u64, usize)>>,
     /// MSHR-style merge: global-memory 128 B segments currently in
     /// flight and when their data arrives. A load hitting an in-flight
     /// segment rides along instead of issuing a new transaction.
@@ -355,25 +347,12 @@ pub struct Sm<'k> {
 
 impl<'k> Sm<'k> {
     /// Creates an SM that will execute `assigned` (grid CTA ids) of
-    /// `kernel`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid configuration.
-    pub fn new(
-        config: SimConfig,
-        kernel: &'k CompiledKernel,
-        assigned: Vec<u32>,
-    ) -> Result<Sm<'k>, SimError> {
-        let prog = Arc::new(PredecodedKernel::new(kernel));
-        Sm::with_predecoded(config, kernel, assigned, prog)
-    }
-
-    /// [`Sm::new`] reusing an already-predecoded program image.
-    /// Predecode is pure — the same `kernel` always predecodes to the
-    /// same image — so sharing one `Arc` across the SMs of a run (or
-    /// across repeat runs of a cached kernel, as `rfvd` does) changes
-    /// nothing observable while skipping the per-SM rebuild.
+    /// `kernel`, issuing from `prog`, the kernel's predecoded program
+    /// image. Predecode is pure — the same `kernel` always predecodes
+    /// to the same image — so sharing one `Arc` across the SMs of a run
+    /// (or across repeat runs of a cached kernel, as the harness and
+    /// `rfvd` do) changes nothing observable while skipping the per-SM
+    /// rebuild.
     ///
     /// # Errors
     ///
@@ -423,7 +402,6 @@ impl<'k> Sm<'k> {
             next_assigned: 0,
             cta_slots: vec![None; config.max_ctas_per_sm],
             load_events: BinaryHeap::new(),
-            wake_events: BinaryHeap::new(),
             inflight_segments: Vec::new(),
             swapped_out: 0,
             issued_scratch: Vec::new(),
@@ -550,6 +528,9 @@ impl<'k> Sm<'k> {
             self.config.regfile.num_subarrays() as u64 * self.now
         };
         self.stats.wakeups = self.regfile.wakeups();
+        // the timeline is complete: drop its growth slack, since a
+        // finished result may stay cached for the life of the process
+        self.stats.samples.shrink_to_fit();
         Ok(SmResult {
             stats: self.stats,
             global: self.global,
@@ -745,8 +726,8 @@ impl<'k> Sm<'k> {
 
     /// Overwrites this freshly-constructed machine with the state in
     /// `frame` (the inverse of [`Sm::snapshot_frame`]). The machine
-    /// must have been built by [`Sm::new`] with the same config,
-    /// kernel, and CTA assignment that produced the frame; the
+    /// must have been built by [`Sm::with_predecoded`] with the same
+    /// config, kernel, and CTA assignment that produced the frame; the
     /// checkpoint container enforces this by hash before calling.
     ///
     /// # Errors
@@ -933,16 +914,12 @@ impl<'k> Sm<'k> {
         if !d.is_done() {
             return Err(WireError::Invalid("trailing bytes in SM frame"));
         }
-        // rebuild the derived wake/swap bookkeeping from the warps
+        // rebuild the derived swap bookkeeping from the warps
         self.swapped_out = self
             .warp_status
             .iter()
             .filter(|&&s| s == WarpStatus::SwappedOut)
             .count();
-        self.wake_events.clear();
-        for slot in 0..warp_slots {
-            self.note_wake(slot);
-        }
         Ok(())
     }
 
@@ -1078,7 +1055,6 @@ impl<'k> Sm<'k> {
             self.warp_outstanding[ws] = 0;
             self.preds[ws] = [0; 4];
             self.enqueue_ready(ws);
-            self.note_wake(ws);
         }
         self.shared[cta_slot].reset();
         self.cta_slots[cta_slot] = Some(CtaState {
@@ -1130,22 +1106,6 @@ impl<'k> Sm<'k> {
                 self.ready_push(slot);
             }
         }
-    }
-
-    /// Records `slot`'s current wake time in the incremental
-    /// next-event index. Must be called after every transition into
-    /// `Ready` / `SwappedOut` and every `next_issue_at` update; stale
-    /// entries are discarded lazily by [`Sm::next_event_cycle`].
-    fn note_wake(&mut self, slot: usize) {
-        if !self.config.incremental_wake_index {
-            return;
-        }
-        let t = match self.warp_status[slot] {
-            WarpStatus::Ready => self.warp_next_issue[slot],
-            WarpStatus::SwappedOut => self.warp_swap_ready[slot],
-            _ => return,
-        };
-        self.wake_events.push(Reverse((t, slot)));
     }
 
     // ------------------------------------------------------------- stepping
@@ -1220,58 +1180,19 @@ impl<'k> Sm<'k> {
         self.issued_scratch = issued;
         if idle {
             // nothing issued: jump to the next interesting cycle
-            let next = if self.config.incremental_wake_index {
-                self.next_event_cycle_indexed()
-            } else {
-                self.next_event_cycle_scan()
-            };
-            self.now = next.max(self.now + 1);
+            self.now = self.next_event_cycle();
         } else {
             self.now += 1;
         }
     }
 
-    /// Earliest upcoming wake time, from the incremental index: pop
-    /// entries that no longer match their warp's state until the top
-    /// is live, then min with the load-completion heap. Kept behind
-    /// [`SimConfig::incremental_wake_index`] as the differential
-    /// counterpart of the production scan.
-    ///
-    /// Equivalent to [`Sm::next_event_cycle_scan`]: every
-    /// `(status, wake-time)` a warp currently holds was pushed when it
-    /// was set, and validation discards exactly the entries whose warp
-    /// has since moved on — never a live one — so the first live entry
-    /// in heap order is the true minimum.
-    fn next_event_cycle_indexed(&mut self) -> u64 {
-        let mut next = u64::MAX;
-        if let Some(&Reverse((t, _, _))) = self.load_events.peek() {
-            next = next.min(t);
-        }
-        while let Some(&Reverse((t, slot))) = self.wake_events.peek() {
-            let live = match self.warp_status[slot] {
-                WarpStatus::Ready => self.warp_next_issue[slot] == t,
-                WarpStatus::SwappedOut => self.warp_swap_ready[slot] == t,
-                _ => false,
-            };
-            if live {
-                next = next.min(t);
-                break;
-            }
-            self.wake_events.pop();
-        }
-        if next == u64::MAX {
-            self.now + 1
-        } else {
-            next.max(self.now + 1)
-        }
-    }
-
-    /// Production idle-cycle skip: a straight min-sweep over the SoA
-    /// status and wake-time arrays. Contiguous, branch-predictable,
-    /// and — unlike the wake-event heap — free on the issue path (no
-    /// bookkeeping per status transition). Only runs on cycles where
-    /// nothing issued.
-    fn next_event_cycle_scan(&self) -> u64 {
+    /// Idle-cycle skip: the earliest upcoming wake time (at least the
+    /// next cycle), by a straight
+    /// min-sweep over the SoA status and wake-time arrays plus a peek
+    /// at the load-completion heap. Contiguous, branch-predictable, and
+    /// free on the issue path (no bookkeeping per status transition).
+    /// Only runs on cycles where nothing issued.
+    fn next_event_cycle(&self) -> u64 {
         let mut next = u64::MAX;
         if let Some(&Reverse((t, _, _))) = self.load_events.peek() {
             next = next.min(t);
@@ -1302,7 +1223,6 @@ impl<'k> Sm<'k> {
                 self.warp_status[slot] = WarpStatus::Ready;
                 self.warp_next_issue[slot] = self.warp_next_issue[slot].max(t);
                 self.enqueue_ready(slot);
-                self.note_wake(slot);
             }
         }
     }
@@ -2168,7 +2088,6 @@ impl<'k> Sm<'k> {
 
     fn issue_cost(&mut self, slot: usize, cycles: u64) {
         self.warp_next_issue[slot] = self.now + cycles.max(1);
-        self.note_wake(slot);
     }
 
     fn after_control(&mut self, slot: usize) {
@@ -2275,7 +2194,6 @@ impl<'k> Sm<'k> {
                 self.warp_status[ws] = WarpStatus::Ready;
                 self.warp_next_issue[ws] = self.now + 1;
                 self.enqueue_ready(ws);
-                self.note_wake(ws);
             }
         }
     }
@@ -2376,7 +2294,6 @@ impl<'k> Sm<'k> {
         self.warp_swap_ready[victim] = now + cost;
         self.swapped_out += 1;
         self.remove_from_ready(victim);
-        self.note_wake(victim);
         self.stats.swap_outs += 1;
     }
 
@@ -2464,7 +2381,6 @@ impl<'k> Sm<'k> {
             self.warp_next_issue[slot] = next_issue;
             self.swapped_out -= 1;
             self.enqueue_ready(slot);
-            self.note_wake(slot);
         }
     }
 

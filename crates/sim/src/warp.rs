@@ -176,8 +176,8 @@ pub enum WarpStatus {
 ///
 /// The SM keeps these in dense parallel arrays (struct-of-arrays, see
 /// `Sm::warp_status` and friends) so the per-cycle scheduling scans —
-/// `pick_warp`, `note_wake`, the idle-skip rescan — walk packed cache
-/// lines instead of striding through full [`Warp`] structs. This
+/// `pick_warp`, the idle-skip rescan — walk packed cache lines
+/// instead of striding through full [`Warp`] structs. This
 /// struct is the transport form used by checkpoint encode/decode and
 /// CTA launch; it never lives in the hot loop itself.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -1,8 +1,5 @@
 //! Differential tests for the cycle-engine hot-path overhauls:
 //!
-//! * the production SoA wake-time min-scan must be *bit-identical* to
-//!   the incremental wake-event index (kept as its differential
-//!   counterpart behind `SimConfig::incremental_wake_index`);
 //! * the threaded-code execution plan must be *bit-identical* to the
 //!   match-dispatch interpreter (kept behind
 //!   `SimConfig::reference_interpreter`) in every observable —
@@ -31,8 +28,7 @@ fn chrome_json(events: &[TraceEvent]) -> String {
 }
 
 /// A register-hungry multi-CTA workload that triggers the GPU-shrink
-/// throttle and its spill/swap machinery (the `SwappedOut` wake
-/// events the incremental index must track exactly).
+/// throttle and its spill/swap machinery.
 fn pressured_workload() -> Workload {
     let p = SynthParams {
         regs: 28,
@@ -58,84 +54,6 @@ fn pressured_workload() -> Workload {
 
 fn init_words() -> Vec<(u64, u32)> {
     (0..256).map(|i| (i * 4, (i * 37) as u32)).collect()
-}
-
-/// Runs `kernel` under `config` with the incremental wake index and
-/// with the production SoA min-scan, asserting the two runs are
-/// bit-identical in every observable: statistics, final memories,
-/// trace events, and serialized Chrome JSON.
-fn assert_engines_match(
-    kernel: &rfv_compiler::CompiledKernel,
-    config: &SimConfig,
-    label: &str,
-) -> TracedRun {
-    let init = init_words();
-    let mut incr_cfg = *config;
-    incr_cfg.incremental_wake_index = true;
-    let mut ref_cfg = *config;
-    ref_cfg.incremental_wake_index = false;
-
-    let incr = simulate_traced_with_init(kernel, &incr_cfg, &init, 1 << 20).unwrap();
-    let refr = simulate_traced_with_init(kernel, &ref_cfg, &init, 1 << 20).unwrap();
-
-    assert_eq!(incr.result.cycles, refr.result.cycles, "{label}: cycles");
-    assert_eq!(incr.result.per_sm, refr.result.per_sm, "{label}: stats");
-    assert_eq!(
-        incr.result.memories, refr.result.memories,
-        "{label}: memories"
-    );
-    assert_eq!(incr.events, refr.events, "{label}: events");
-    assert_eq!(
-        chrome_json(&incr.events),
-        chrome_json(&refr.events),
-        "{label}: Chrome JSON"
-    );
-    incr
-}
-
-/// The four machine policies of the evaluation, on workloads covering
-/// streaming, reduction (barriers), and divergence.
-#[test]
-fn incremental_wake_index_matches_rescan_all_policies() {
-    for w in [suite::vectoradd(), suite::reduction(), suite::bfs()] {
-        let machines = [
-            Machine::Conventional,
-            Machine::Full128,
-            Machine::Shrink64,
-            Machine::HardwareOnly,
-        ];
-        for m in machines {
-            let ck = m.compile(&w);
-            let label = format!("{:?}/{}", m, w.name());
-            assert_engines_match(&ck, &m.config(), &label);
-        }
-    }
-}
-
-/// Both GPU-shrink configurations under register pressure: the
-/// spill/swap path populates the wake index with `SwappedOut` events,
-/// the hardest case for the lazy-invalidation argument.
-#[test]
-fn incremental_wake_index_matches_rescan_under_shrink_pressure() {
-    let w = pressured_workload();
-    let ck = compile_full(&w);
-    for pct in [50, 40] {
-        let config = SimConfig::gpu_shrink(pct);
-        let run = assert_engines_match(&ck, &config, &format!("shrink{pct}"));
-        assert!(run.result.cycles > 0, "shrink{pct} must simulate");
-    }
-}
-
-/// Multi-SM runs drain per-SM wake indexes independently; check the
-/// sharded path too.
-#[test]
-fn incremental_wake_index_matches_rescan_multi_sm() {
-    let w = suite::vectoradd();
-    let ck = compile_full(&w);
-    let mut config = SimConfig::baseline_full();
-    config.num_sms = 4;
-    config.sm_jobs = Some(1);
-    assert_engines_match(&ck, &config, "multi-sm");
 }
 
 /// Predecode is purely representational: every `PdItem` must carry
