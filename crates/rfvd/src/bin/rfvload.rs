@@ -5,6 +5,7 @@
 //!         [--machine M] [--sms N] [--high-every K] [--no-cache]
 //!         [--timeout-ms N] [--retries N] [--retry-base-ms N] [--seed N]
 //!         [--compare-cache] [--out FILE.json]
+//! rfvload ADDR --stats
 //! ```
 //!
 //! Opens `--connections` concurrent connections; each replays the
@@ -15,6 +16,10 @@
 //! `--compare-cache` runs the same mix twice — cold (cache bypassed)
 //! then warm (cache primed) — and prints the warm/cold speedup, the
 //! daemon's headline number for repeat-kernel submissions.
+//!
+//! `--stats` submits nothing: it prints the daemon's counters
+//! (`ServerStats`) as one JSON line and exits, so a shell script can
+//! watch a daemon without reading its files.
 //!
 //! `--timeout-ms` bounds each submission: a stalled daemon costs one
 //! counted timeout and a reconnect, never a wedged load generator.
@@ -39,6 +44,7 @@ fn usage() -> ! {
          \x20              [--machine M] [--sms N] [--high-every K] [--no-cache]\n\
          \x20              [--timeout-ms N] [--retries N] [--retry-base-ms N]\n\
          \x20              [--seed N] [--compare-cache] [--out FILE.json]\n\
+         \x20      rfvload ADDR --stats\n\
          \n\
          \x20 ADDR              server address, e.g. 127.0.0.1:4650\n\
          \x20 --connections N   concurrent client connections (default 4)\n\
@@ -57,6 +63,7 @@ fn usage() -> ! {
          \x20 --retry-base-ms N backoff floor between retries (default 25)\n\
          \x20 --seed N          nonce/jitter determinism seed (default: entropy)\n\
          \x20 --compare-cache   measure cold (bypass) vs warm (primed) throughput\n\
+         \x20 --stats           print the daemon's counters as one JSON line and exit\n\
          \x20 --out FILE        write an rfv-load-v1 JSON report"
     );
     std::process::exit(2)
@@ -323,6 +330,7 @@ fn main() {
         seed: None,
     };
     let mut compare_cache = false;
+    let mut stats = false;
     let mut out: Option<String> = None;
     let parse = |flag: &str, v: Option<String>| -> usize {
         v.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -357,6 +365,7 @@ fn main() {
             }
             "--seed" => load.seed = Some(parse("--seed", args.next()) as u64),
             "--compare-cache" => compare_cache = true,
+            "--stats" => stats = true,
             "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
             other => {
@@ -366,7 +375,20 @@ fn main() {
         }
     }
 
-    if compare_cache {
+    if stats {
+        let snapshot = (|| -> Result<_, ClientError> {
+            let mut client = Client::connect(&load.addr)?;
+            client.set_timeout(load.timeout())?;
+            client.stats()
+        })();
+        match snapshot {
+            Ok(s) => println!("{}", s.to_json()),
+            Err(e) => {
+                eprintln!("rfvload: stats from {}: {e}", load.addr);
+                std::process::exit(1);
+            }
+        }
+    } else if compare_cache {
         // cold: every job compiles for itself
         let cold_load = LoadSpec {
             use_cache: false,

@@ -26,11 +26,11 @@ pub enum ChaosKind {
     DiskEio,
     /// Spool write fails with a simulated `ENOSPC`.
     DiskEnospc,
-    /// `fsync` on a spool temp file fails.
+    /// `fsync` of a spool file (the log, a checkpoint) fails.
     DiskFsync,
-    /// Tmp+rename installs a *truncated* record: the temp file is cut to a
-    /// random prefix before the rename, so the record lands torn on disk and
-    /// is only caught later by the envelope checksum.
+    /// A spool write lands *torn*: a strict prefix of the buffer reaches the
+    /// file but the full length is reported, so the caller believes the
+    /// record is durable and only the log checksum catches it later.
     DiskTorn,
     /// Spool write makes partial progress (short write); callers must loop.
     DiskShort,
@@ -260,9 +260,10 @@ impl ChaosInjector {
 // Spool I/O boundary
 // ---------------------------------------------------------------------------
 
-/// The syscalls `persist.rs` needs for durable record installation. Kept
-/// deliberately minimal: a short-write-capable `write`, `fsync`, and the
-/// atomic-install `rename`.
+/// The syscalls `persist.rs` needs for durable records. Kept deliberately
+/// minimal: a short-write-capable `write`, `fsync` (of a file or, to make a
+/// new entry durable, of the spool directory), and the atomic-install
+/// `rename` of checkpoints and compacted logs.
 pub trait SpoolIo: Send + Sync {
     fn write(&self, file: &mut fs::File, buf: &[u8]) -> io::Result<usize>;
     fn sync(&self, file: &fs::File) -> io::Result<()>;
@@ -305,6 +306,14 @@ impl SpoolIo for ChaosSpoolIo {
         if self.chaos.should_fire(ChaosKind::DiskEnospc) {
             return Err(io::Error::other("chaos: simulated ENOSPC"));
         }
+        if !buf.is_empty() && self.chaos.should_fire(ChaosKind::DiskTorn) {
+            // Tear the append: persist a strict prefix but report the full
+            // length. The caller believes the record is durable; only the
+            // log checksum catches it at the next scan.
+            let keep = self.chaos.roll(ChaosKind::DiskTorn, buf.len() as u64) as usize;
+            file.write_all(&buf[..keep])?;
+            return Ok(buf.len());
+        }
         if buf.len() > 1 && self.chaos.should_fire(ChaosKind::DiskShort) {
             let n = 1 + self.chaos.roll(ChaosKind::DiskShort, buf.len() as u64 - 1) as usize;
             return file.write(&buf[..n]);
@@ -320,20 +329,6 @@ impl SpoolIo for ChaosSpoolIo {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        if self.chaos.should_fire(ChaosKind::DiskTorn) {
-            // Install a torn record: cut the temp file to a strict prefix,
-            // then let the rename succeed. The caller believes the record is
-            // durable; only the envelope checksum catches it later.
-            if let Ok(meta) = fs::metadata(from) {
-                let len = meta.len();
-                if len > 0 {
-                    let keep = self.chaos.roll(ChaosKind::DiskTorn, len);
-                    if let Ok(f) = fs::OpenOptions::new().write(true).open(from) {
-                        let _ = f.set_len(keep);
-                    }
-                }
-            }
-        }
         fs::rename(from, to)
     }
 }
@@ -556,6 +551,27 @@ mod tests {
         assert!(io.write(&mut f, b"hello").is_err());
         inj.set_scale(0.0);
         assert_eq!(io.write(&mut f, b"hello").unwrap(), 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn chaos_spool_io_tears_appends() {
+        let dir = std::env::temp_dir().join(format!("rfvd-chaos-torn-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let inj = Arc::new(ChaosInjector::new(
+            ChaosPlan::parse("disk_torn:1.0", 5).unwrap(),
+        ));
+        let io = ChaosSpoolIo::new(inj.clone());
+        let path = dir.join("log");
+        let mut f = fs::File::create(&path).unwrap();
+        let record = [7u8; 64];
+        for _ in 0..8 {
+            // the full length is reported, a strict prefix lands
+            assert_eq!(io.write(&mut f, &record).unwrap(), record.len());
+        }
+        assert_eq!(inj.fired(ChaosKind::DiskTorn), 8);
+        let landed = fs::metadata(&path).unwrap().len();
+        assert!(landed < 8 * record.len() as u64, "landed {landed} bytes");
         let _ = fs::remove_dir_all(&dir);
     }
 }

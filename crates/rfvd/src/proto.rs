@@ -447,6 +447,44 @@ pub struct ServerStats {
     pub spool_compactions: u64,
 }
 
+impl ServerStats {
+    /// Every counter with its field name, in wire order.
+    pub fn fields(&self) -> [(&'static str, u64); 20] {
+        [
+            ("submitted", self.submitted),
+            ("completed", self.completed),
+            ("rejected", self.rejected),
+            ("failed", self.failed),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("preemptions", self.preemptions),
+            ("queued", self.queued),
+            ("active", self.active),
+            ("cache_evictions", self.cache_evictions),
+            ("cache_entries", self.cache_entries),
+            ("conns_open", self.conns_open),
+            ("conns_total", self.conns_total),
+            ("replayed", self.replayed),
+            ("deduped", self.deduped),
+            ("shed", self.shed),
+            ("brownouts", self.brownouts),
+            ("brownout", self.brownout),
+            ("spool_records", self.spool_records),
+            ("spool_compactions", self.spool_compactions),
+        ]
+    }
+
+    /// The counters as one JSON object on one line.
+    pub fn to_json(&self) -> String {
+        let body: Vec<String> = self
+            .fields()
+            .iter()
+            .map(|(name, v)| format!("\"{name}\":{v}"))
+            .collect();
+        format!("{{{}}}", body.join(","))
+    }
+}
+
 /// A server-to-client message.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Response {
@@ -477,28 +515,7 @@ impl Response {
             }
             Response::Stats(s) => {
                 let mut b = Enc::new();
-                for v in [
-                    s.submitted,
-                    s.completed,
-                    s.rejected,
-                    s.failed,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.preemptions,
-                    s.queued,
-                    s.active,
-                    s.cache_evictions,
-                    s.cache_entries,
-                    s.conns_open,
-                    s.conns_total,
-                    s.replayed,
-                    s.deduped,
-                    s.shed,
-                    s.brownouts,
-                    s.brownout,
-                    s.spool_records,
-                    s.spool_compactions,
-                ] {
+                for (_, v) in s.fields() {
                     b.u64(v);
                 }
                 envelope(RSP_STATS, b.bytes())
@@ -828,6 +845,28 @@ mod tests {
         for rsp in cases {
             let payload = rsp.encode();
             assert_eq!(Response::decode(&payload).unwrap(), rsp);
+        }
+    }
+
+    #[test]
+    fn stats_json_names_every_counter_on_one_line() {
+        let stats = ServerStats {
+            submitted: 8,
+            replayed: 3,
+            spool_compactions: 4,
+            ..ServerStats::default()
+        };
+        let json = stats.to_json();
+        assert!(!json.contains('\n'), "{json}");
+        let value = rfv_trace::json::parse(&json).unwrap();
+        let obj = value.as_obj().unwrap();
+        assert_eq!(obj.len(), stats.fields().len());
+        for (name, v) in stats.fields() {
+            assert_eq!(
+                value.get(name).and_then(|x| x.as_num()),
+                Some(v as f64),
+                "{name}"
+            );
         }
     }
 

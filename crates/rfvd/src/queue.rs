@@ -27,7 +27,7 @@ use crate::spec::JobSpec;
 /// callback. The multiplexer hands jobs a closure that routes the
 /// outcome back to the owning connection (and wakes the event loop);
 /// spool-replayed jobs, whose submitter is long gone, use a no-op —
-/// their durable record is the spool's `.done` file, written by the
+/// their durable record is the spool's `Done` record, appended by the
 /// worker itself.
 pub type ReplyFn = Box<dyn FnOnce(Result<JobResult, ProtoError>) + Send + 'static>;
 

@@ -111,7 +111,7 @@ pub(crate) enum NonceEntry {
 }
 
 /// In-memory idempotency index, FIFO-bounded on completed entries.
-/// Mirrors the spool's retained `.done` records (which re-seed it
+/// Mirrors the spool's retained `Done` records (which re-seed it
 /// after a restart) but also covers spool-less daemons.
 pub(crate) struct NonceTable {
     entries: HashMap<u64, NonceEntry>,
@@ -503,15 +503,15 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
 
 /// Re-enqueues every accepted-but-unfinished job found in the spool.
 /// Replayed jobs have no submitter to answer; their reply is a no-op
-/// and their durable outcome is the `.done` record the worker writes.
+/// and their durable outcome is the `Done` record the worker appends.
 fn replay_spool(state: &Arc<ServerState>) -> io::Result<()> {
     let Some(spool) = &state.spool else {
         return Ok(());
     };
     // Seed the nonce table from retained completed records first:
     // a client retrying across the restart gets the recorded reply,
-    // not a second run. (`completed()` also quarantines torn `.done`
-    // records, reviving their jobs for the replay pass below.)
+    // not a second run. (A torn `Done` record was quarantined when the
+    // spool opened, so its job comes back in the replay pass below.)
     for done in spool.completed()? {
         if done.request.nonce != 0 {
             let _ = state.nonce_finish(done.request.nonce, &done.response);
@@ -629,7 +629,7 @@ fn sim_failed(e: impl std::fmt::Display) -> ProtoError {
     ProtoError::new(ErrorCode::SimFailed, e.to_string())
 }
 
-/// Delivers a job's final outcome: the spool's `.done` record first
+/// Delivers a job's final outcome: the spool's `Done` record first
 /// (the durable reply — for a restored job, the only one), then the
 /// nonce table's waiters, then the reply callback.
 fn finish_job(state: &ServerState, job: Job, outcome: Result<JobResult, ProtoError>) {

@@ -14,6 +14,9 @@ use rfvd::server::{serve, ServerConfig, ServerHandle};
 
 const QUICK_SPEC: &str = "synth:regs=24,trips=2,rep=4";
 const LONG_SPEC: &str = "synth:regs=24,trips=300,tpc=128,ctas=2,conc=2";
+/// About 100x `LONG_SPEC` (hundreds of ms): a job that stays in flight
+/// across 10 ms stats polls even on a loaded host.
+const DRAIN_SPEC: &str = "synth:regs=24,trips=30000,tpc=128,ctas=2,conc=2";
 const DEADLINE: Duration = Duration::from_secs(60);
 
 fn req(spec: &str, priority: Priority) -> JobRequest {
@@ -180,7 +183,7 @@ fn draining_daemon_rejects_with_a_hinted_shutting_down() {
     // (a drained-empty daemon closes its connections immediately)
     let runner = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.submit(&req(LONG_SPEC, Priority::Normal)).unwrap()
+        c.submit(&req(DRAIN_SPEC, Priority::Normal)).unwrap()
     });
     let mut client = Client::connect(addr).unwrap();
     wait_until("the long job to start", || {

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use rfvd::chaos::ChaosPlan;
 use rfvd::client::{Client, ResilientClient, RetryPolicy};
+use rfvd::persist::Spool;
 use rfvd::proto::{JobRequest, Response};
 use rfvd::server::{serve, ServerConfig};
 
@@ -201,40 +202,44 @@ fn sigkill_mid_storm_loses_no_accepted_job() {
 
     // a final fault-free life heals the spool: torn records are
     // quarantined and their jobs rerun, after which every retained
-    // job has a decodable .done twin with the reference result
+    // job has a decodable Done record with the reference result
     let daemon = Daemon::spawn(&spool, port, None);
     let mut probe = Client::connect(daemon.addr).unwrap();
     let deadline = Instant::now() + DEADLINE;
     loop {
+        // counters rise before a job's Done record is appended, and
+        // `active` falls after it
         let stats = probe.stats().unwrap();
-        if stats.queued == 0 && stats.active == 0 {
+        if stats.queued == 0
+            && stats.active == 0
+            && stats.completed + stats.failed >= stats.replayed
+        {
             break;
         }
         assert!(Instant::now() < deadline, "final life never settled");
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(probe.stats().unwrap().failed, 0, "no replayed job may fail");
+    daemon.kill();
+    let healed = Spool::open(&spool).unwrap();
+    assert!(
+        healed.replay().unwrap().is_empty(),
+        "every retained job has a Done record"
+    );
     let mut checked = 0;
-    for entry in std::fs::read_dir(&spool).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_some_and(|e| e == "done") {
-            let response = Response::decode(&std::fs::read(&path).unwrap())
-                .unwrap_or_else(|e| panic!("{}: undecodable .done: {e}", path.display()));
-            match response {
-                Response::Result(r) => {
-                    assert_eq!(
-                        r.stats_json,
-                        reference.stats_json,
-                        "{}: durable result drifted",
-                        path.display()
-                    );
-                    checked += 1;
-                }
-                other => panic!("{}: durable failure: {other:?}", path.display()),
+    for done in healed.completed().unwrap() {
+        match done.response {
+            Response::Result(r) => {
+                assert_eq!(
+                    r.stats_json, reference.stats_json,
+                    "job {:#x}: durable result drifted",
+                    done.id
+                );
+                checked += 1;
             }
+            other => panic!("job {:#x}: durable failure: {other:?}", done.id),
         }
     }
     assert!(checked > 0, "the storm left durable completed records");
-    daemon.kill();
     let _ = std::fs::remove_dir_all(&spool);
 }

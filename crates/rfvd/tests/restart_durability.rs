@@ -11,12 +11,13 @@
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use rfv_sim::{Checkpoint, CKPT_VERSION};
 use rfvd::client::Client;
+use rfvd::persist::Spool;
 use rfvd::proto::{JobRequest, JobResult, Response};
 
 const LONG_SPEC: &str = "synth:regs=24,trips=300,tpc=128,ctas=2,conc=2";
@@ -80,18 +81,23 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Record ids present in the spool with the given extension.
-fn spool_ids(dir: &Path, ext: &str) -> Vec<u64> {
-    let mut ids: Vec<u64> = std::fs::read_dir(dir)
-        .expect("read spool dir")
-        .filter_map(|e| {
-            let name = e.ok()?.file_name().into_string().ok()?;
-            let stem = name.strip_suffix(ext)?.strip_prefix("job-")?;
-            u64::from_str_radix(stem, 16).ok()
-        })
+/// Ids of the spool's accepted-but-unfinished and of its completed
+/// jobs, read while no daemon runs on it.
+fn spool_ids(dir: &Path) -> (Vec<u64>, Vec<u64>) {
+    let spool = Spool::open(dir).expect("open spool");
+    let unfinished = spool
+        .replay()
+        .expect("replay")
+        .iter()
+        .map(|j| j.id)
         .collect();
-    ids.sort_unstable();
-    ids
+    let completed = spool
+        .completed()
+        .expect("completed")
+        .iter()
+        .map(|j| j.id)
+        .collect();
+    (unfinished, completed)
 }
 
 #[test]
@@ -126,11 +132,7 @@ fn sigkilled_daemon_replays_every_accepted_job_byte_identically() {
     }
 
     // the spool must show accepted-but-unfinished work
-    let done_before: Vec<u64> = spool_ids(&spool, ".done");
-    let unfinished: Vec<u64> = spool_ids(&spool, ".job")
-        .into_iter()
-        .filter(|id| !done_before.contains(id))
-        .collect();
+    let (unfinished, _) = spool_ids(&spool);
     assert!(
         !unfinished.is_empty(),
         "SIGKILL with queued jobs must leave unfinished spool records"
@@ -161,20 +163,25 @@ fn sigkilled_daemon_replays_every_accepted_job_byte_identically() {
         unfinished.len() as u64,
         "every unfinished record is replayed, nothing else"
     );
-    let done_paths: Vec<PathBuf> = unfinished
-        .iter()
-        .map(|id| spool.join(format!("job-{id:016x}.done")))
-        .collect();
+    // a job's Done record is synced before its runner goes idle, so
+    // an idle daemon that has finished every replayed job holds them all
     wait_until("replayed jobs to finish", || {
-        done_paths.iter().all(|p| p.exists())
+        let s = probe.stats().unwrap();
+        s.completed + s.failed >= unfinished.len() as u64 && s.queued == 0 && s.active == 0
     });
+    let stats = probe.stats().unwrap();
+    assert_eq!(stats.failed, 0, "no replayed job may fail");
+    daemon.kill();
 
     // each durable outcome must be the byte-identical success a
     // never-killed daemon would have produced
-    for (id, path) in unfinished.iter().zip(&done_paths) {
-        let response = Response::decode(&std::fs::read(path).unwrap())
-            .unwrap_or_else(|e| panic!("job {id:#x}: undecodable .done record: {e}"));
-        match response {
+    let completed = Spool::open(&spool).unwrap().completed().unwrap();
+    for id in &unfinished {
+        let done = completed
+            .iter()
+            .find(|c| c.id == *id)
+            .unwrap_or_else(|| panic!("job {id:#x}: no durable Done record"));
+        match &done.response {
             Response::Result(r) => {
                 assert_eq!(
                     r.stats_json, reference.stats_json,
@@ -186,9 +193,6 @@ fn sigkilled_daemon_replays_every_accepted_job_byte_identically() {
             other => panic!("job {id:#x}: replay did not succeed: {other:?}"),
         }
     }
-    let stats = probe.stats().unwrap();
-    assert_eq!(stats.failed, 0, "no replayed job may fail");
-    daemon.kill();
 
     // life 3: everything is done; a fresh open replays nothing, and
     // the completed pairs are *retained* as idempotency memory (they
@@ -197,14 +201,13 @@ fn sigkilled_daemon_replays_every_accepted_job_byte_identically() {
     let mut probe = Client::connect(daemon.addr).unwrap();
     let stats = probe.stats().unwrap();
     assert_eq!(stats.replayed, 0, "done jobs stay done");
-    let jobs = spool_ids(&spool, ".job");
-    assert_eq!(
-        jobs,
-        spool_ids(&spool, ".done"),
+    daemon.kill();
+    let (unfinished, completed) = spool_ids(&spool);
+    assert!(
+        unfinished.is_empty(),
         "every retained record is a completed job/done pair"
     );
-    assert_eq!(stats.spool_records, jobs.len() as u64);
-    daemon.kill();
+    assert_eq!(stats.spool_records, completed.len() as u64);
 
     let _ = std::fs::remove_dir_all(&spool);
 }

@@ -59,29 +59,6 @@ pub struct PredecodedInstr {
 }
 
 impl PredecodedInstr {
-    /// An inert instruction occupying `pir`/`pbr` PCs in the execution
-    /// plan's dense instruction array (so handlers index it
-    /// unconditionally). Never executed: those PCs dispatch to the
-    /// metadata handlers, which read [`ExecPlan`]'s side table instead.
-    ///
-    /// [`ExecPlan`]: crate::sm::plan::ExecPlan
-    pub(crate) fn placeholder() -> PredecodedInstr {
-        PredecodedInstr {
-            opcode: Opcode::Nop,
-            dst: None,
-            pdst: None,
-            psrc: None,
-            guard: None,
-            mem_offset: 0,
-            target: 0,
-            reconv: NO_RECONV,
-            flags: ReleaseFlags::NONE,
-            hazard_mask: 0,
-            nsrcs: 0,
-            srcs: [Operand::Imm(0); MAX_SRC_OPERANDS],
-        }
-    }
-
     /// Source operands, in operand-slot order.
     pub fn srcs(&self) -> &[Operand] {
         &self.srcs[..self.nsrcs as usize]

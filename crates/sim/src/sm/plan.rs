@@ -19,11 +19,11 @@
 //! the engine-equivalence suite runs both engines and asserts
 //! bit-identical results. Any divergence is a bug in this module.
 //!
-//! Layout: `handlers[pc]` is the dispatch table; `instrs[pc]` is a
-//! dense array of [`PredecodedInstr`] (an inert placeholder occupies
-//! `pir`/`pbr` PCs so handlers index unconditionally); `meta[pc]`
-//! carries the `pir` flag count / `pbr` arena range as a `(u32, u32)`
-//! pair.
+//! Layout: the plan is only the dispatch table, `handlers[pc]`. Each
+//! handler reads its operands from the image it was lowered from,
+//! `prog.item(pc)`, whose variant is fixed by the lowering (an
+//! instruction handler only ever sees `PdItem::Instr`, `h_pir` a
+//! `Pir`, `h_pbr` a `Pbr`), so every instruction is stored once.
 
 #![deny(clippy::perf)]
 
@@ -60,8 +60,6 @@ pub(crate) type Handler = for<'a, 'k> fn(&'a mut Sm<'k>, usize, usize) -> Step;
 #[derive(Clone)]
 pub(crate) struct ExecPlan {
     handlers: Vec<Handler>,
-    instrs: Vec<PredecodedInstr>,
-    meta: Vec<(u32, u32)>,
 }
 
 impl fmt::Debug for ExecPlan {
@@ -77,48 +75,20 @@ impl ExecPlan {
     /// Lowers a predecoded item list. One pass, paid once per kernel
     /// build; every run sharing the image shares the plan.
     pub(crate) fn lower(items: &[PdItem]) -> ExecPlan {
-        let mut handlers: Vec<Handler> = Vec::with_capacity(items.len());
-        let mut instrs = Vec::with_capacity(items.len());
-        let mut meta = Vec::with_capacity(items.len());
-        for item in items {
-            match *item {
-                PdItem::Pir { release_count } => {
-                    handlers.push(h_pir);
-                    instrs.push(PredecodedInstr::placeholder());
-                    meta.push((u32::from(release_count), 0));
-                }
-                PdItem::Pbr { lo, hi } => {
-                    handlers.push(h_pbr);
-                    instrs.push(PredecodedInstr::placeholder());
-                    meta.push((lo, hi));
-                }
-                PdItem::Instr(i) => {
-                    handlers.push(instr_handler(&i));
-                    instrs.push(i);
-                    meta.push((0, 0));
-                }
-            }
-        }
-        ExecPlan {
-            handlers,
-            instrs,
-            meta,
-        }
+        let handlers = items
+            .iter()
+            .map(|item| match item {
+                PdItem::Pir { .. } => h_pir as Handler,
+                PdItem::Pbr { .. } => h_pbr,
+                PdItem::Instr(i) => instr_handler(i),
+            })
+            .collect();
+        ExecPlan { handlers }
     }
 
     #[inline]
     fn handler(&self, pc: usize) -> Handler {
         self.handlers[pc]
-    }
-
-    #[inline]
-    fn instr(&self, pc: usize) -> &PredecodedInstr {
-        &self.instrs[pc]
-    }
-
-    #[inline]
-    fn meta(&self, pc: usize) -> (u32, u32) {
-        self.meta[pc]
     }
 }
 
@@ -569,7 +539,9 @@ impl<'k> Sm<'k> {
 /// end, register stage, and the issue trace event.
 macro_rules! prologue {
     ($sm:ident, $slot:ident, $pc:ident => $i:ident, $f:ident, $regs:ident) => {
-        let $i = *$sm.prog.plan().instr($pc);
+        let PdItem::Instr($i) = *$sm.prog.item($pc) else {
+            unreachable!("instruction handler lowered for a metadata item")
+        };
         let Some($f) = $sm.plan_front($slot, &$i) else {
             return Step::Blocked;
         };
@@ -586,7 +558,9 @@ macro_rules! prologue {
 /// Handler prologue for control instructions (no register stage).
 macro_rules! control_prologue {
     ($sm:ident, $slot:ident, $pc:ident => $i:ident, $f:ident) => {
-        let $i = *$sm.prog.plan().instr($pc);
+        let PdItem::Instr($i) = *$sm.prog.item($pc) else {
+            unreachable!("instruction handler lowered for a metadata item")
+        };
         let Some($f) = $sm.plan_front($slot, &$i) else {
             return Step::Blocked;
         };
@@ -608,7 +582,9 @@ fn lane_addrs(exec: u32, src0: &[u32; WARP_SIZE], mem_offset: i32) -> [Option<u6
 // ------------------------------------------------------ meta handlers
 
 fn h_pir(sm: &mut Sm<'_>, slot: usize, pc: usize) -> Step {
-    let (flags, _) = sm.prog.plan().meta(pc);
+    let PdItem::Pir { release_count } = *sm.prog.item(pc) else {
+        unreachable!("h_pir lowered for a non-pir item")
+    };
     sm.stats.meta_encountered += 1;
     if sm.injector.should_fire(FaultKind::StaleFlagCacheHit) {
         sm.flag_cache
@@ -632,7 +608,7 @@ fn h_pir(sm: &mut Sm<'_>, slot: usize, pc: usize) -> Step {
             slot,
             TraceKind::PirDecode {
                 pc: pc as u32,
-                flags: flags as u16,
+                flags: release_count,
             },
         ));
     }
@@ -642,7 +618,9 @@ fn h_pir(sm: &mut Sm<'_>, slot: usize, pc: usize) -> Step {
 }
 
 fn h_pbr(sm: &mut Sm<'_>, slot: usize, pc: usize) -> Step {
-    let (lo, hi) = sm.prog.plan().meta(pc);
+    let PdItem::Pbr { lo, hi } = *sm.prog.item(pc) else {
+        unreachable!("h_pbr lowered for a non-pbr item")
+    };
     sm.stats.meta_encountered += 1;
     sm.stats.meta_decoded += 1;
     if sm.sink.enabled() {
