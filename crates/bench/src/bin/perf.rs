@@ -1,9 +1,10 @@
 //! Engine perf-trajectory harness: times the cycle engine on the
-//! figure workloads under all four machine policies and writes a
-//! JSON report (see `rfv_bench::perf`).
+//! figure workloads under all four machine policies and prints a
+//! JSON report (see `rfv_bench::perf`) to stdout, or writes it to
+//! `--out PATH`; the per-machine summary lines go to stderr.
 //!
 //! ```text
-//! cargo run --release -p rfv-bench --bin perf
+//! cargo run --release -p rfv-bench --bin perf > /tmp/perf.json
 //! cargo run --release -p rfv-bench --bin perf -- --quick --out /tmp/perf.json
 //! cargo run --release -p rfv-bench --bin perf -- --repeat 5 \
 //!     --sweep-before 6.608 --sweep-after 3.899
@@ -27,7 +28,7 @@ fn usage(error: &str) -> ! {
          \x20           [--baseline FILE [--max-regress PCT]]\n\
          \x20 --quick           reduced workload set (CI smoke)\n\
          \x20 --repeat N        timed runs per (workload, policy); best kept (default 3)\n\
-         \x20 --out PATH        report destination (default BENCH_PR4.json)\n\
+         \x20 --out PATH        report destination (default: stdout)\n\
          \x20 --sweep-before S  record a figures-sweep wall time before the overhaul, seconds\n\
          \x20 --sweep-after S   record the matching wall time after, seconds\n\
          \x20 --baseline FILE   rfv-perf-v1 report to gate against: exit 1 when any\n\
@@ -73,7 +74,7 @@ fn main() {
         },
         None => 3,
     };
-    let out = take_flag(&mut args, "--out").unwrap_or_else(|| "BENCH_PR4.json".to_string());
+    let out = take_flag(&mut args, "--out");
     let before = take_flag(&mut args, "--sweep-before").map(|v| parse_secs("--sweep-before", &v));
     let after = take_flag(&mut args, "--sweep-after").map(|v| parse_secs("--sweep-after", &v));
     let sweep = match (before, after) {
@@ -124,11 +125,16 @@ fn main() {
         );
     }
     let json = perf::to_json(&report, quick, repeat, sweep);
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
-        exit(1);
+    match out {
+        Some(out) => {
+            if let Err(e) = std::fs::write(&out, &json) {
+                eprintln!("error: cannot write {out}: {e}");
+                exit(1);
+            }
+            eprintln!("wrote {out}");
+        }
+        None => print!("{json}"),
     }
-    eprintln!("wrote {out}");
     if let Some((path, baseline)) = baseline {
         let violations = perf::regressions(&report, &baseline, max_regress);
         if violations.is_empty() {

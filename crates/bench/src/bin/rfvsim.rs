@@ -74,6 +74,7 @@ use std::path::Path;
 use rfv_bench::harness::{compile_full, compile_plain, machine_config, rf_activity, Machine};
 use rfv_bench::pool;
 use rfv_compiler::CompiledKernel;
+use rfv_faults::{FaultKind, Kind};
 use rfv_power::model::{energy, RfGeometry};
 use rfv_sim::{
     simulate, simulate_resumable_traced, simulate_traced, simulate_traced_checkpointed, Checkpoint,
@@ -117,9 +118,9 @@ fn usage_error(error: &str) -> ! {
          \x20             [--checkpoint-every CYCLES] [--ckpt-dir DIR] [--resume PATH]\n\
          \x20             [--max-cycles N]\n\
          \x20      rfvsim --probe-shrink WORKLOAD [PCT]\n\
-         fault kinds: premature-release dropped-release pir-flip pbr-flip rename-corrupt\n\
-         \x20            stale-flag-hit spill-loss all\n\
+         fault kinds: {} all\n\
          benchmarks: {}",
+        FaultKind::ALL.map(FaultKind::name).join(" "),
         suite::all()
             .iter()
             .map(Workload::name)
@@ -493,7 +494,7 @@ fn write_stats_json(path: &str, run: &TracedRun, cfg: &SimConfig) {
     m.add("config.sanitize_level", cfg.sanitize as u64);
     if !cfg.faults.is_empty() {
         m.add("config.fault_seed", cfg.faults.seed);
-        for k in rfv_sim::FaultKind::ALL {
+        for k in FaultKind::ALL {
             let planned = cfg.faults.count(k);
             if planned > 0 {
                 m.add(

@@ -7,8 +7,8 @@
 //! simulated cycles, issued instructions, and the engine's
 //! cycles-per-second throughput. [`to_json`] renders the report as
 //! JSON (schema `rfv-perf-v1`) so successive commits can track engine
-//! performance over time — the `perf` binary writes it to
-//! `BENCH_PR4.json` at the repo root by default.
+//! performance over time — the `perf` binary prints it to stdout, or
+//! writes it to `--out PATH`.
 //!
 //! Wall-clock numbers are machine-dependent; `cycles` and `instrs`
 //! are bit-deterministic and double as a cheap cross-check that a
@@ -18,6 +18,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use rfv_sim::simulate_predecoded;
+use rfv_trace::json::Value;
 
 use crate::figures::full_suite;
 use crate::harness::Machine;
@@ -214,54 +215,45 @@ pub fn to_json(
 
 /// Per-machine workload wall times parsed back out of an
 /// `rfv-perf-v1` report — the baseline side of the CI regression
-/// gate. Hand-rolled line scanning, mirroring the hand-rolled writer.
+/// gate.
 #[derive(Clone, Debug, Default)]
 pub struct BaselineReport {
     /// `(machine, [(workload, wall_s)])` in report order.
     pub machines: Vec<(String, Vec<(String, f64)>)>,
 }
 
-/// Extracts the value following `"key": ` on `line` up to the next
-/// `,`, `}`, or end of line.
-fn field_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Extracts the string value of `"key": "..."` on `line`.
-fn str_field_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    field_after(line, key)?.strip_prefix('"')?.strip_suffix('"')
-}
-
 /// Parses an `rfv-perf-v1` report's machine/workload wall times.
 ///
 /// # Errors
 ///
-/// Rejects reports without the `rfv-perf-v1` schema marker or with no
-/// machine sections (anything else in the file is ignored — the gate
-/// only needs the wall times).
+/// Rejects input that is not JSON, reports without the `rfv-perf-v1`
+/// schema marker or with no machine sections, and machines or
+/// workloads without a name or a finite, non-negative `wall_s`
+/// (anything else in the file is ignored — the gate only needs the
+/// wall times).
 pub fn parse_baseline(json: &str) -> Result<BaselineReport, String> {
-    if !json.contains("\"schema\": \"rfv-perf-v1\"") {
+    let doc = rfv_trace::json::parse(json)?;
+    if doc.get("schema").and_then(Value::as_str) != Some("rfv-perf-v1") {
         return Err("not an rfv-perf-v1 report".into());
     }
+    fn array<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+        v.get(key).and_then(Value::as_arr).unwrap_or_default()
+    }
+    let name = |v: &Value, key| v.get(key).and_then(Value::as_str).map(str::to_string);
     let mut report = BaselineReport::default();
-    for line in json.lines() {
-        if let Some(machine) = str_field_after(line, "machine") {
-            report.machines.push((machine.to_string(), Vec::new()));
-        } else if let (Some(name), Some(wall)) =
-            (str_field_after(line, "name"), field_after(line, "wall_s"))
-        {
-            let wall: f64 = wall
-                .parse()
-                .map_err(|_| format!("bad wall_s `{wall}` for workload `{name}`"))?;
-            let Some((_, rows)) = report.machines.last_mut() else {
-                return Err(format!("workload `{name}` precedes any machine section"));
-            };
-            rows.push((name.to_string(), wall));
+    for policy in array(&doc, "policies") {
+        let machine = name(policy, "machine").ok_or("policy without a machine name")?;
+        let mut rows = Vec::new();
+        for w in array(policy, "workloads") {
+            let workload = name(w, "name").ok_or("workload without a name")?;
+            let wall = w
+                .get("wall_s")
+                .and_then(Value::as_num)
+                .filter(|s| s.is_finite() && *s >= 0.0)
+                .ok_or_else(|| format!("bad wall_s for workload `{workload}`"))?;
+            rows.push((workload, wall));
         }
+        report.machines.push((machine, rows));
     }
     if report.machines.is_empty() {
         return Err("report contains no machine sections".into());
@@ -402,5 +394,38 @@ mod tests {
     fn baseline_parser_rejects_foreign_json() {
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline("{\"schema\": \"rfv-perf-v1\"}").is_err());
+    }
+    #[test]
+    fn committed_baselines_parse_minified_or_not() {
+        for json in [
+            include_str!("../../../BENCH_PR4.json"),
+            include_str!("../../../BENCH_PR9.json"),
+        ] {
+            let report = parse_baseline(json).expect("committed baseline parses");
+            assert_eq!(report.machines.len(), 4);
+            assert!(report.machines.iter().all(|(_, rows)| rows.len() == 16));
+            // no name in a report holds whitespace, so dropping all of
+            // it minifies the document without changing its values
+            let minified: String = json.split_whitespace().collect();
+            let again = parse_baseline(&minified).expect("minified baseline parses");
+            assert_eq!(again.machines, report.machines);
+        }
+    }
+
+    #[test]
+    fn baseline_parser_rejects_malformed_workloads() {
+        let json = to_json(
+            &[fake_policy("conventional", &[("mm", 1.5)])],
+            false,
+            1,
+            None,
+        );
+        assert!(parse_baseline(&json).is_ok());
+        let wall = json.replace("\"wall_s\": 1.500000", "\"wall_s\": \"fast\"");
+        assert_ne!(wall, json);
+        assert!(parse_baseline(&wall).is_err());
+        let nameless = json.replace("\"name\": \"mm\", ", "");
+        assert_ne!(nameless, json);
+        assert!(parse_baseline(&nameless).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! rfv-faults — a deterministic, seeded fault-injection plane.
+//! rfv-faults — deterministic, seeded fault planes.
 //!
 //! The simulator's correctness argument rests on early release never
 //! freeing a live register. This crate provides the *attack side* of
@@ -9,6 +9,13 @@
 //! seed — exactly which dynamic occurrences of each site get
 //! perturbed.
 //!
+//! The plan is generic: a [`Plan`] arms each kind of a [`Kind`]
+//! vocabulary with a count (`u16`, as here) or a firing rate (`f64`,
+//! as `rfvd`'s disk and socket chaos does), and owns the one
+//! `kind[:value][,…]` spec parser and the one summary for both. Every
+//! seeded stream on either plane steps the one [`splitmix64`] from
+//! [`Plan::stream_seed`].
+//!
 //! The crate is zero-dependency and knows nothing about the
 //! simulator: the simulator asks [`FaultInjector::should_fire`] at
 //! each candidate site and applies the perturbation itself.
@@ -17,6 +24,9 @@
 //! `(seed, kind, occurrence number)`. Two runs with the same plan and
 //! the same sequence of `should_fire` calls observe the same faults,
 //! regardless of wall clock, thread scheduling, or allocation order.
+
+use std::fmt;
+use std::marker::PhantomData;
 
 /// The kinds of fault the plane can inject.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -44,9 +54,8 @@ pub enum FaultKind {
 /// Number of distinct [`FaultKind`]s.
 pub const NUM_FAULT_KINDS: usize = 7;
 
-impl FaultKind {
-    /// Every kind, in a fixed canonical order.
-    pub const ALL: [FaultKind; NUM_FAULT_KINDS] = [
+impl Kind<NUM_FAULT_KINDS> for FaultKind {
+    const ALL: [FaultKind; NUM_FAULT_KINDS] = [
         FaultKind::PrematureRelease,
         FaultKind::DroppedRelease,
         FaultKind::PirFlagFlip,
@@ -56,21 +65,11 @@ impl FaultKind {
         FaultKind::SpillWriteLoss,
     ];
 
-    /// Stable index into per-kind arrays.
-    pub fn index(self) -> usize {
-        match self {
-            FaultKind::PrematureRelease => 0,
-            FaultKind::DroppedRelease => 1,
-            FaultKind::PirFlagFlip => 2,
-            FaultKind::PbrFlagFlip => 3,
-            FaultKind::RenameCorrupt => 4,
-            FaultKind::StaleFlagCacheHit => 5,
-            FaultKind::SpillWriteLoss => 6,
-        }
+    fn index(self) -> usize {
+        self as usize
     }
 
-    /// The CLI / trace spelling of this kind.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             FaultKind::PrematureRelease => "premature-release",
             FaultKind::DroppedRelease => "dropped-release",
@@ -81,56 +80,105 @@ impl FaultKind {
             FaultKind::SpillWriteLoss => "spill-loss",
         }
     }
+}
 
-    /// Parses the CLI spelling produced by [`FaultKind::name`].
-    pub fn parse(s: &str) -> Option<FaultKind> {
-        FaultKind::ALL.into_iter().find(|k| k.name() == s)
+/// A fault vocabulary: a fieldless enum of `N` kinds.
+pub trait Kind<const N: usize>: Copy {
+    /// Every kind, in discriminant order.
+    const ALL: [Self; N];
+
+    /// Stable index into per-kind arrays: the enum discriminant.
+    fn index(self) -> usize;
+
+    /// The CLI / trace spelling of this kind.
+    fn name(self) -> &'static str;
+
+    /// Parses the spelling produced by [`Kind::name`].
+    fn parse(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+/// How a [`Plan`] arms one kind: how many faults to inject (`u16`) or
+/// how likely each occurrence is to fault (`f64`).
+pub trait Arming: Copy + PartialEq + Default + fmt::Display {
+    /// The arming of a bare `kind` entry, with no `:value`.
+    const BARE: Self;
+    /// What the value of a `kind:value` entry must be.
+    const EXPECTED: &'static str;
+    /// Parses the value of a `kind:value` entry.
+    fn parse(value: &str) -> Option<Self>;
+}
+
+impl Arming for u16 {
+    const BARE: u16 = 1;
+    const EXPECTED: &'static str = "a count up to 65535";
+
+    fn parse(value: &str) -> Option<u16> {
+        value.parse().ok()
     }
 }
 
-/// A declarative fault-injection plan: a seed plus, per kind, how
-/// many faults to inject over the run. `Copy` so it can ride inside
-/// `SimConfig` unchanged; all mutable injection state lives in
-/// [`FaultInjector`].
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct FaultPlan {
+/// Rates resolve to whole parts per million.
+pub const PPM: u64 = 1_000_000;
+
+impl Arming for f64 {
+    const BARE: f64 = 0.01;
+    const EXPECTED: &'static str = "a rate in [0, 1]";
+
+    /// Rounds to whole parts per million, so specs that fire alike
+    /// parse to one plan and a summary spells it exactly.
+    fn parse(value: &str) -> Option<f64> {
+        let rate: f64 = value.parse().ok()?;
+        (0.0..=1.0)
+            .contains(&rate)
+            .then(|| (rate * PPM as f64).round() / PPM as f64)
+    }
+}
+
+/// A declarative fault plan: a seed plus, per kind of the vocabulary
+/// `K`, an arming `A`. `Copy` so it can ride inside a config
+/// unchanged; all mutable injection state lives in the injector that
+/// executes it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Plan<K, A, const N: usize> {
     /// Seed for the per-kind firing streams.
     pub seed: u64,
-    counts: [u16; NUM_FAULT_KINDS],
+    armed: [A; N],
+    kinds: PhantomData<K>,
 }
 
-impl FaultPlan {
+impl<K: Kind<N>, A: Arming, const N: usize> Plan<K, A, N> {
     /// The empty plan: inject nothing.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
+    pub fn none() -> Self {
+        Plan {
+            seed: 0,
+            armed: [A::default(); N],
+            kinds: PhantomData,
+        }
     }
 
-    /// A plan injecting `count` faults of a single kind.
-    pub fn single(kind: FaultKind, count: u16, seed: u64) -> FaultPlan {
-        FaultPlan::none().with(kind, count).seeded(seed)
+    /// A plan arming a single kind.
+    pub fn single(kind: K, armed: A, seed: u64) -> Self {
+        Self::none().with(kind, armed).seeded(seed)
     }
 
-    /// Builder: sets the injection count for `kind`.
-    pub fn with(mut self, kind: FaultKind, count: u16) -> FaultPlan {
-        self.counts[kind.index()] = count;
+    /// Builder: sets the arming of `kind`.
+    pub fn with(mut self, kind: K, armed: A) -> Self {
+        self.armed[kind.index()] = armed;
         self
     }
 
     /// Builder: sets the seed.
-    pub fn seeded(mut self, seed: u64) -> FaultPlan {
+    pub fn seeded(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
     /// Parses a CLI spec: a comma-separated list of `kind` or
-    /// `kind:count` entries (count defaults to 1), where `kind` is a
-    /// [`FaultKind::name`] or the wildcard `all`.
+    /// `kind:value` entries, where `kind` is a [`Kind::name`] or the
+    /// wildcard `all` and a bare kind takes [`Arming::BARE`]. Entries
+    /// are trimmed; later entries override earlier ones.
     ///
     /// ```
     /// use rfv_faults::{FaultKind, FaultPlan};
@@ -143,70 +191,93 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a human-readable message for unknown kinds or
-    /// malformed counts.
-    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::none().seeded(seed);
-        for entry in spec.split(',').filter(|e| !e.is_empty()) {
-            let (name, count) = match entry.split_once(':') {
-                Some((name, n)) => {
-                    let count: u16 = n
-                        .parse()
-                        .map_err(|_| format!("bad fault count in `{entry}`"))?;
-                    (name, count)
+    /// malformed values.
+    pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
+        let mut plan = Self::none().seeded(seed);
+        for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
+            let (name, armed) = match entry.split_once(':') {
+                Some((name, value)) => {
+                    let armed = A::parse(value).ok_or_else(|| {
+                        format!("bad value in `{entry}` (expected {})", A::EXPECTED)
+                    })?;
+                    (name, armed)
                 }
-                None => (entry, 1),
+                None => (entry, A::BARE),
             };
             if name == "all" {
-                for k in FaultKind::ALL {
-                    plan.counts[k.index()] = count;
-                }
+                plan.armed = [armed; N];
             } else {
-                let kind = FaultKind::parse(name).ok_or_else(|| {
+                let kind = K::parse(name).ok_or_else(|| {
                     format!(
                         "unknown fault kind `{name}` (expected one of: all {})",
-                        FaultKind::ALL.map(FaultKind::name).join(" ")
+                        K::ALL.map(K::name).join(" ")
                     )
                 })?;
-                plan.counts[kind.index()] = count;
+                plan.armed[kind.index()] = armed;
             }
         }
         Ok(plan)
     }
 
-    /// Number of faults of `kind` this plan injects.
-    pub fn count(&self, kind: FaultKind) -> u16 {
-        self.counts[kind.index()]
-    }
-
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
+        self.armed.iter().all(|&a| a == A::default())
     }
 
     /// The CLI spelling of this plan (`none` when empty), suitable
-    /// for run headers and JSON artifacts.
+    /// for run headers and JSON artifacts: a spec for the same plan.
     pub fn summary(&self) -> String {
         if self.is_empty() {
             return "none".to_string();
         }
-        FaultKind::ALL
+        K::ALL
             .into_iter()
-            .filter(|&k| self.count(k) > 0)
-            .map(|k| format!("{}:{}", k.name(), self.count(k)))
+            .filter(|&k| self.armed[k.index()] != A::default())
+            .map(|k| format!("{}:{}", k.name(), self.armed[k.index()]))
             .collect::<Vec<_>>()
             .join(",")
     }
+
+    /// The initial state of `kind`'s [`splitmix64`] stream: the seed
+    /// with the kind folded in, so kinds sharing a seed draw
+    /// decorrelated sequences.
+    pub fn stream_seed(&self, kind: K) -> u64 {
+        self.seed ^ (kind.index() as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f)
+    }
 }
 
+impl<K: Kind<N>, const N: usize> Plan<K, u16, N> {
+    /// Number of faults of `kind` this plan injects.
+    pub fn count(&self, kind: K) -> u16 {
+        self.armed[kind.index()]
+    }
+}
+
+impl<K: Kind<N>, const N: usize> Plan<K, f64, N> {
+    /// Probability that one occurrence of `kind` is faulted.
+    pub fn rate(&self, kind: K) -> f64 {
+        self.armed[kind.index()]
+    }
+}
+
+/// The splitmix64 state increment. A stream shared between threads
+/// advances with one atomic `fetch_add(GAMMA)` and passes the state it
+/// read to [`splitmix64`].
+pub const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// Sebastiano Vigna's splitmix64: a tiny, statistically solid step
-/// function used here purely for reproducible fault placement.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// function, used for reproducible fault placement and jitter.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
+
+/// The simulator's fault plan: per kind, how many faults to inject
+/// over the run. Rides inside `SimConfig`.
+pub type FaultPlan = Plan<FaultKind, u16, NUM_FAULT_KINDS>;
 
 /// One kind's firing stream: fires `remaining` times, at occurrence
 /// numbers spaced by seeded pseudo-random gaps.
@@ -220,10 +291,7 @@ struct Stream {
 }
 
 impl Stream {
-    fn new(seed: u64, kind: FaultKind, count: u16) -> Stream {
-        // decorrelate kinds sharing a seed: fold the kind index into
-        // the stream state before the first draw
-        let mut rng = seed ^ (kind.index() as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f);
+    fn new(mut rng: u64, count: u16) -> Stream {
         let first = 1 + splitmix64(&mut rng) % 8;
         Stream {
             rng,
@@ -262,7 +330,7 @@ impl FaultInjector {
         FaultInjector {
             streams: FaultKind::ALL
                 .into_iter()
-                .map(|k| Stream::new(plan.seed, k, plan.count(k)))
+                .map(|k| Stream::new(plan.stream_seed(k), plan.count(k)))
                 .collect(),
         }
     }
@@ -487,8 +555,52 @@ mod tests {
     fn names_parse_back() {
         for k in FaultKind::ALL {
             assert_eq!(FaultKind::parse(k.name()), Some(k));
-            assert_eq!(format!("{k}"), k.name());
         }
         assert_eq!(FaultKind::parse("bogus"), None);
+    }
+    /// Sequences captured before the plan became generic over its kind
+    /// vocabulary: seeded placement, `pick` draws and the 5-word
+    /// checkpoint layout must stay bit for bit.
+    #[test]
+    fn seeded_sequences_are_pinned() {
+        let plan = FaultPlan::parse("all:5", 42).unwrap();
+        let mut inj = FaultInjector::new(&plan);
+        let mut hits = vec![Vec::new(); NUM_FAULT_KINDS];
+        for occurrence in 0..400u64 {
+            for k in FaultKind::ALL {
+                if inj.should_fire(k) {
+                    hits[k.index()].push(occurrence);
+                }
+            }
+        }
+        assert_eq!(
+            hits,
+            [
+                [4, 19, 29, 41, 71],
+                [2, 19, 41, 50, 79],
+                [7, 20, 48, 62, 91],
+                [7, 14, 26, 41, 61],
+                [0, 4, 28, 43, 68],
+                [5, 9, 18, 37, 60],
+                [0, 32, 64, 89, 109],
+            ]
+        );
+        let picks = FaultKind::ALL.map(|k| inj.pick(k, 1000));
+        assert_eq!(picks, [639, 497, 899, 536, 210, 303, 944]);
+        let words = inj.state_words();
+        assert_eq!(
+            words
+                .chunks(FaultInjector::WORDS_PER_STREAM)
+                .collect::<Vec<_>>(),
+            [
+                &[17_580_488_851_104_123_032, 72, 82, 0, 5][..],
+                &[10_696_206_188_074_511_623, 80, 102, 0, 5][..],
+                &[3_811_923_525_044_900_154, 92, 105, 0, 5][..],
+                &[15_374_384_935_724_840_233, 62, 82, 0, 5][..],
+                &[8_490_102_272_695_228_756, 69, 101, 0, 5][..],
+                &[1_605_819_609_665_617_347, 61, 88, 0, 5][..],
+                &[13_168_281_020_345_557_494, 110, 142, 0, 5][..],
+            ]
+        );
     }
 }

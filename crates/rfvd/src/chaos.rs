@@ -2,9 +2,11 @@
 //!
 //! Where `rfv-faults` corrupts state *inside* the simulated machine, this
 //! module attacks the daemon's *environment*: the spool directory and the
-//! client sockets. Faults are drawn from seeded splitmix64 streams — one
-//! independent stream per fault kind, mirroring `FaultPlan` — so a given
-//! `(plan, seed)` pair produces the same adversarial schedule on every run.
+//! client sockets. It is the same seeded plane one layer up: a
+//! [`ChaosPlan`] is an `rfv_faults` [`Plan`] over the [`ChaosKind`]
+//! vocabulary, armed by firing rate instead of fault count, and each kind
+//! draws from its own splitmix64 stream, so a given `(plan, seed)` pair
+//! produces the same adversarial schedule on every run.
 //!
 //! Injection happens behind two thin traits, [`SpoolIo`] and [`SockIo`],
 //! which `persist.rs` and `mux.rs` funnel their syscalls through. The
@@ -12,12 +14,13 @@
 //! passthroughs the optimizer erases; chaos builds swap in the `Chaos*`
 //! wrappers around the same trait objects.
 
-use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use rfv_sim::faults::{splitmix64, Kind, Plan, GAMMA, PPM};
 
 /// One environment fault kind. Naming follows `rfv-faults` CLI style.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,8 +52,11 @@ pub enum ChaosKind {
     NetStall,
 }
 
-impl ChaosKind {
-    pub const ALL: [ChaosKind; 10] = [
+/// Number of distinct [`ChaosKind`]s.
+const KINDS: usize = 10;
+
+impl Kind<KINDS> for ChaosKind {
+    const ALL: [ChaosKind; KINDS] = [
         ChaosKind::DiskEio,
         ChaosKind::DiskEnospc,
         ChaosKind::DiskFsync,
@@ -63,7 +69,7 @@ impl ChaosKind {
         ChaosKind::NetStall,
     ];
 
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             ChaosKind::DiskEio => "disk_eio",
             ChaosKind::DiskEnospc => "disk_enospc",
@@ -78,119 +84,26 @@ impl ChaosKind {
         }
     }
 
-    pub fn parse(s: &str) -> Option<ChaosKind> {
-        ChaosKind::ALL.iter().copied().find(|k| k.name() == s)
-    }
-
-    pub fn index(self) -> usize {
-        ChaosKind::ALL.iter().position(|&k| k == self).unwrap()
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
-impl fmt::Display for ChaosKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-const PPM: u64 = 1_000_000;
-
-/// A parsed chaos specification: a per-kind firing rate (stored in parts per
-/// million so the plan stays `Copy + Eq`) plus the base seed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChaosPlan {
-    rates_ppm: [u32; ChaosKind::ALL.len()],
-    pub seed: u64,
-}
-
-impl ChaosPlan {
-    /// The empty plan: nothing ever fires.
-    pub fn none() -> ChaosPlan {
-        ChaosPlan {
-            rates_ppm: [0; ChaosKind::ALL.len()],
-            seed: 0,
-        }
-    }
-
-    /// Parse a spec like `disk_torn:0.05,net_reset:0.02`. Rates are
-    /// probabilities in `[0, 1]`; `all:RATE` applies one rate to every kind.
-    /// Mirrors `FaultPlan::parse` from rfv-faults.
-    pub fn parse(spec: &str, seed: u64) -> Result<ChaosPlan, String> {
-        let mut plan = ChaosPlan::none();
-        plan.seed = seed;
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (name, rate) = match part.split_once(':') {
-                Some((name, rate)) => {
-                    let rate: f64 = rate
-                        .parse()
-                        .map_err(|_| format!("chaos: bad rate in {part:?}"))?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(format!("chaos: rate out of [0,1] in {part:?}"));
-                    }
-                    (name, rate)
-                }
-                None => (part, 0.01),
-            };
-            let ppm = (rate * PPM as f64).round() as u32;
-            if name == "all" {
-                plan.rates_ppm = [ppm; ChaosKind::ALL.len()];
-            } else {
-                let kind = ChaosKind::parse(name)
-                    .ok_or_else(|| format!("chaos: unknown fault kind {name:?}"))?;
-                plan.rates_ppm[kind.index()] = ppm;
-            }
-        }
-        Ok(plan)
-    }
-
-    pub fn rate_ppm(&self, kind: ChaosKind) -> u32 {
-        self.rates_ppm[kind.index()]
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rates_ppm.iter().all(|&r| r == 0)
-    }
-
-    /// Human-readable one-liner, e.g. `disk_torn:0.05 net_reset:0.02 seed=7`.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for kind in ChaosKind::ALL {
-            let ppm = self.rate_ppm(kind);
-            if ppm > 0 {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(&format!("{}:{}", kind, ppm as f64 / PPM as f64));
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(none)");
-        }
-        out.push_str(&format!(" seed={}", self.seed));
-        out
-    }
-}
-
-const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// A parsed `--chaos` spec such as `disk_torn:0.05,net_reset:0.02`: the
+/// base seed plus a per-kind firing probability in `[0, 1]`, resolved to
+/// whole parts per million. A bare kind fires 1% of the time, and
+/// `all:RATE` applies one rate to every kind.
+pub type ChaosPlan = Plan<ChaosKind, f64, KINDS>;
 
 /// Shared, thread-safe injector. Each kind owns an independent splitmix64
 /// stream stepped with an atomic `fetch_add`, so draws are deterministic per
 /// stream regardless of interleaving with other kinds, and concurrent draws
 /// on one stream never repeat a value.
 pub struct ChaosInjector {
-    plan: ChaosPlan,
-    streams: [AtomicU64; ChaosKind::ALL.len()],
-    fired: [AtomicU64; ChaosKind::ALL.len()],
+    /// The plan's rates, in parts per million.
+    rates_ppm: [u64; KINDS],
+    streams: [AtomicU64; KINDS],
+    fired: [AtomicU64; KINDS],
     /// Runtime intensity knob in parts-per-thousand of the plan's rates.
     /// 1000 = nominal, 0 = chaos off. Lets tests storm then heal.
     scale_pm: AtomicU64,
@@ -198,25 +111,17 @@ pub struct ChaosInjector {
 
 impl ChaosInjector {
     pub fn new(plan: ChaosPlan) -> ChaosInjector {
-        let streams = std::array::from_fn(|i| {
-            // Decorrelate per-kind streams the same way rfv-faults does.
-            AtomicU64::new(plan.seed ^ ((i as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f)))
-        });
         ChaosInjector {
-            plan,
-            streams,
+            rates_ppm: ChaosKind::ALL.map(|k| (plan.rate(k) * PPM as f64).round() as u64),
+            streams: ChaosKind::ALL.map(|k| AtomicU64::new(plan.stream_seed(k))),
             fired: std::array::from_fn(|_| AtomicU64::new(0)),
             scale_pm: AtomicU64::new(1000),
         }
     }
 
-    pub fn plan(&self) -> ChaosPlan {
-        self.plan
-    }
-
     fn next(&self, kind: ChaosKind) -> u64 {
-        let old = self.streams[kind.index()].fetch_add(GAMMA, Ordering::Relaxed);
-        mix(old.wrapping_add(GAMMA))
+        let mut state = self.streams[kind.index()].fetch_add(GAMMA, Ordering::Relaxed);
+        splitmix64(&mut state)
     }
 
     /// Scale all rates at runtime: 1.0 = nominal, 0.0 = chaos off.
@@ -227,7 +132,7 @@ impl ChaosInjector {
 
     /// Draw from `kind`'s stream and decide whether this fault fires.
     pub fn should_fire(&self, kind: ChaosKind) -> bool {
-        let rate = self.plan.rate_ppm(kind) as u64 * self.scale_pm.load(Ordering::Relaxed) / 1000;
+        let rate = self.rates_ppm[kind.index()] * self.scale_pm.load(Ordering::Relaxed) / 1000;
         if rate == 0 {
             return false;
         }
@@ -443,20 +348,20 @@ mod tests {
     #[test]
     fn plan_parses_rates_and_wildcard() {
         let plan = ChaosPlan::parse("disk_torn:0.05,net_reset:0.5", 7).unwrap();
-        assert_eq!(plan.rate_ppm(ChaosKind::DiskTorn), 50_000);
-        assert_eq!(plan.rate_ppm(ChaosKind::NetReset), 500_000);
-        assert_eq!(plan.rate_ppm(ChaosKind::DiskEio), 0);
+        assert_eq!(plan.rate(ChaosKind::DiskTorn), 0.05);
+        assert_eq!(plan.rate(ChaosKind::NetReset), 0.5);
+        assert_eq!(plan.rate(ChaosKind::DiskEio), 0.0);
         assert_eq!(plan.seed, 7);
         assert!(!plan.is_empty());
 
         let all = ChaosPlan::parse("all:0.01", 0).unwrap();
         for kind in ChaosKind::ALL {
-            assert_eq!(all.rate_ppm(kind), 10_000);
+            assert_eq!(all.rate(kind), 0.01);
         }
 
         // Bare kind defaults to 1%.
         let bare = ChaosPlan::parse("disk_eio", 0).unwrap();
-        assert_eq!(bare.rate_ppm(ChaosKind::DiskEio), 10_000);
+        assert_eq!(bare.rate(ChaosKind::DiskEio), 0.01);
 
         assert!(ChaosPlan::parse("bogus:0.1", 0).is_err());
         assert!(ChaosPlan::parse("disk_eio:1.5", 0).is_err());
@@ -535,8 +440,8 @@ mod tests {
         let s = plan.summary();
         assert!(s.contains("disk_torn:0.05"), "{s}");
         assert!(s.contains("net_reset:0.02"), "{s}");
-        assert!(s.contains("seed=11"), "{s}");
-        assert!(ChaosPlan::none().summary().contains("(none)"));
+        assert_eq!(ChaosPlan::parse(&s, 11), Ok(plan), "{s}");
+        assert_eq!(ChaosPlan::none().summary(), "none");
     }
 
     #[test]

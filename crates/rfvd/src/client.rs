@@ -8,6 +8,8 @@ use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use rfv_sim::faults::splitmix64;
+
 use crate::proto::{
     read_frame, write_frame, JobRequest, ProtoError, Request, Response, ServerStats,
 };
@@ -180,14 +182,6 @@ impl Default for RetryPolicy {
             cap: Duration::from_secs(2),
         }
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A [`Client`] wrapper that survives a hostile environment:

@@ -842,6 +842,8 @@ mod tests {
     use std::io::Write;
     use std::sync::Arc;
 
+    use rfv_sim::faults::splitmix64;
+
     use super::*;
     use crate::proto::{ErrorCode, ProtoError};
 
@@ -1383,11 +1385,7 @@ mod tests {
         let mut state = 0x5eed_u64;
         let mut noise = Vec::new();
         for i in 0..1024 {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            noise.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+            noise.extend_from_slice(&splitmix64(&mut state).to_le_bytes());
             if i % 64 == 0 {
                 noise.extend_from_slice(&MAGIC);
             }

@@ -1,7 +1,7 @@
 //! Simulator configuration (the paper's §9 baseline machine).
 
 use rfv_core::{RegFileConfig, SanitizeLevel, VirtualizationPolicy};
-use rfv_faults::{FaultKind, FaultPlan};
+use rfv_faults::{FaultKind, FaultPlan, Kind};
 use rfv_trace::wire::fnv1a;
 use rfv_trace::Enc;
 

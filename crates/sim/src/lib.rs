@@ -69,3 +69,5 @@ pub use stats::{RegTraceEvent, Sample, SimStats};
 // injection without naming the leaf crates
 pub use rfv_core::{SanitizeLevel, Violation, ViolationKind};
 pub use rfv_faults::{FaultKind, FaultPlan};
+// the whole fault plane, for `rfvd`'s environment chaos
+pub use rfv_faults as faults;

@@ -1,6 +1,8 @@
 //! Minimal JSON support: string escaping for the writers and a small
 //! recursive-descent parser used by tests (and the CLI) to validate
-//! emitted documents. No external dependencies.
+//! emitted documents, and by the perf gate to read its baseline.
+//! Parsing is linear in the input and depth-bounded, so any input
+//! yields a value or an error. No external dependencies.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -82,39 +84,50 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The
+/// documents this workspace writes nest at most 5 levels (an
+/// `rfv-perf-v1` report); the bound turns a hostile input into an
+/// error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
+///
+/// # Errors
+///
+/// A message naming the first byte that is not valid JSON, or nesting
+/// past [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset of the next unread character.
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -133,8 +146,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -148,8 +161,22 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses one array or object a level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self)?;
+        self.depth -= 1;
+        Ok(v)
+    }
+
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -243,14 +270,11 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             // surrogate pairs are not produced by our
                             // writers; map them to the replacement char
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -261,12 +285,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the run of plain characters up to the next
+                    // quote or escape (both ASCII, so `pos` stays on a
+                    // character boundary)
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -284,7 +309,7 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
@@ -318,5 +343,45 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+    #[test]
+    fn long_documents_parse_in_linear_time() {
+        // 200,000 short strings, about 2.7 MB, a third multi-byte
+        let items: Vec<String> = (0..200_000)
+            .map(|i| match i % 3 {
+                0 => format!("é{i}→"),
+                1 => format!("row {i:07}"),
+                _ => format!("{i}\\\"x"),
+            })
+            .collect();
+        let quoted: Vec<String> = items.iter().map(|s| quote(s)).collect();
+        let doc = format!("[{}]", quoted.join(","));
+        assert!(doc.len() > 2_400_000, "{} bytes", doc.len());
+        let t0 = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = t0.elapsed();
+        let parsed: Vec<&str> = parsed
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_str().unwrap())
+            .collect();
+        assert_eq!(parsed, items);
+        // a generous bound: linear parsing takes well under a second
+        // even unoptimized, while any per-character rescan of the rest
+        // of the input takes minutes
+        assert!(elapsed.as_secs() < 10, "{elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // far past the bound: a typed error, not a stack overflow
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 }

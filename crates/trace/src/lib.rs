@@ -26,8 +26,9 @@
 //!   snapshot format. Decoding is total — corrupt input is a typed
 //!   [`wire::WireError`], never a panic.
 //!
-//! Everything is dependency-free; JSON is written (and, for tests,
-//! parsed) by the small hand-rolled [`json`] module.
+//! Everything is dependency-free; JSON is written (and, for tests and
+//! the perf gate's baseline, parsed) by the small hand-rolled [`json`]
+//! module.
 
 pub mod chrome;
 pub mod event;
