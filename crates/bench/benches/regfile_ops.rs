@@ -85,7 +85,7 @@ fn bench_renaming_lookup(c: &mut Criterion) {
 
 /// The full write-then-release register lifecycle through
 /// `RegisterFile` (renaming + bitset + gating bookkeeping together),
-/// as `issue_instr` drives it.
+/// as the issue engine's register stage drives it.
 fn bench_regfile_write_release(c: &mut Criterion) {
     let mut g = group(c);
     g.bench_function("regfile_write_release_cycle", |b| {

@@ -1,14 +1,14 @@
-//! Deterministic lane float arithmetic shared by the interpreter and
-//! the execution-plan engine.
+//! Deterministic lane float arithmetic for the issue engine's
+//! handlers.
 //!
 //! IEEE 754 leaves the *payload* of a NaN result unspecified, and
 //! LLVM is free to commute `fadd`/`fmul` operands, so two separately
-//! compiled copies of `a + b` can legally return different NaN bit
-//! patterns for the same inputs (x86 `addss` propagates its first
-//! operand's payload). The simulator's differential suites demand
-//! bit-identity between the two engines, so every binary float op
-//! pins the propagation order in source: the first NaN operand wins,
-//! before the hardware op runs. Results that *become* NaN from
+//! compiled copies of `a + b` (a debug and a release build, say) can
+//! legally return different NaN bit patterns for the same inputs (x86
+//! `addss` propagates its first operand's payload). The golden run
+//! corpus pins memory digests under both build profiles, so every
+//! binary float op pins the propagation order in source: the first NaN
+//! operand wins, before the hardware op runs. Results that *become* NaN from
 //! non-NaN operands (inf − inf, 0 × inf) use the hardware's "real
 //! indefinite" constant, which is deterministic.
 

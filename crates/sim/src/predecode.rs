@@ -18,8 +18,8 @@
 //!   `(lo, hi)` ranges, so decoding a `pbr` touches no allocator.
 //!
 //! Predecode is purely representational: field for field it is the
-//! same program the interpreter saw before, so issue order, timing,
-//! and every statistic are bit-identical.
+//! compiled program, so it changes no issue order, timing or
+//! statistic.
 
 use rfv_compiler::CompiledKernel;
 use rfv_isa::kernel::ProgItem;

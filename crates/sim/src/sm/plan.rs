@@ -1,23 +1,18 @@
-//! Threaded-code execution plans: the `match`-free issue engine.
+//! Threaded-code execution plans: the SM's issue engine.
 //!
-//! The interpreter in `sm.rs` re-dispatches every issued item twice —
-//! once on the [`PdItem`] variant and once on the [`Opcode`] — through
-//! `match` ladders whose branch targets the hardware cannot predict
-//! across a mixed instruction stream. [`ExecPlan::lower`] walks the
-//! predecoded program once at kernel-build time and resolves each PC
-//! to a *handler*: a monomorphized function pointer specialized to
-//! exactly that item (`h_alu::<OpIadd>`, `h_isetp::<CLt>`, `h_ldg`,
-//! …). Issue then becomes one indexed load and one indirect call —
-//! classic threaded code.
+//! [`ExecPlan::lower`] walks the predecoded program once at
+//! kernel-build time and resolves each PC to a *handler*: a
+//! monomorphized function pointer specialized to exactly that item
+//! (`h_alu::<OpIadd>`, `h_isetp::<CLt>`, `h_ldg`, …). Issue is then one
+//! indexed load and one indirect call — classic threaded code — with no
+//! per-issue `match` on the [`PdItem`] variant or the [`Opcode`].
 //!
-//! The plan is a pure lowering of the same image the interpreter
-//! reads: every handler replicates its interpreter arm *operation for
-//! operation* — the same RNG draws in the same order, the same stats
-//! increments, the same trace emissions, the same register-file and
-//! sanitizer calls. The interpreter stays compiled in as the
-//! executable specification (`SimConfig::reference_interpreter`), and
-//! the engine-equivalence suite runs both engines and asserts
-//! bit-identical results. Any divergence is a bug in this module.
+//! A handler's order of operations is observable: the fault injector's
+//! RNG draws, the stats increments, the trace emissions, and the
+//! register-file and sanitizer calls all land in a run's statistics,
+//! memories and trace. The golden run corpus
+//! (`tests/golden_corpus.rs`) pins those per run, so any reordering
+//! here shows up there.
 //!
 //! Layout: the plan is only the dispatch table, `handlers[pc]`. Each
 //! handler reads its operands from the image it was lowered from,
@@ -293,8 +288,8 @@ struct Front {
     cta: usize,
 }
 
-/// Destination mapping and fetched operands (the interpreter's
-/// locals, lifted into a struct the handler stages share).
+/// Destination mapping and fetched operands, shared by a handler's
+/// stages.
 struct Regs {
     dst_phys: Option<PhysReg>,
     ready_at: u64,
@@ -326,9 +321,10 @@ enum RegsStatus {
 }
 
 impl<'k> Sm<'k> {
-    /// Plan-engine issue loop: `try_issue` with the two dispatch
-    /// matches replaced by one indexed handler call per item.
-    pub(super) fn try_issue_plan(&mut self, slot: usize) -> IssueOutcome {
+    /// Issues from `slot`'s PC with one indexed handler call per item,
+    /// fetching past free metadata (flag-cache hits) until an item
+    /// issues, blocks or finds no free register.
+    pub(super) fn try_issue(&mut self, slot: usize) -> IssueOutcome {
         loop {
             let pc = self.warps[slot].stack.pc();
             debug_assert!(pc < self.prog.len(), "pc {pc} out of program");
@@ -344,9 +340,9 @@ impl<'k> Sm<'k> {
         }
     }
 
-    /// `issue_instr`'s front end: scoreboard check, premature-release
+    /// An instruction's front end: scoreboard check, premature-release
     /// fault draw, mask and CTA resolution. `None` means a scoreboard
-    /// hazard (the fault draw still happened, as in the interpreter).
+    /// hazard, found before the fault draw.
     #[inline(always)]
     fn plan_front(&mut self, slot: usize, i: &PredecodedInstr) -> Option<Front> {
         if self.warp_outstanding[slot] & i.hazard_mask != 0 {
@@ -365,10 +361,9 @@ impl<'k> Sm<'k> {
         Some(Front { active, exec, cta })
     }
 
-    /// `issue_instr`'s register stage: destination allocation, operand
-    /// fetch with bank-conflict accounting, the Recover squash check,
-    /// and the release-flag machinery — in exactly the interpreter's
-    /// order (every RNG draw, stat, and trace event included).
+    /// An instruction's register stage, in this order: destination
+    /// allocation, operand fetch with bank-conflict accounting, the
+    /// Recover squash check, and the release-flag machinery.
     #[inline(always)]
     fn plan_regs(
         &mut self,
@@ -567,9 +562,8 @@ macro_rules! control_prologue {
     };
 }
 
-/// Per-lane addresses for the active lanes — warp-wide bitset
-/// iteration instead of a 32-iteration conditional loop; inactive
-/// lanes keep `None` exactly as the interpreter leaves them.
+/// Per-lane addresses for the active lanes, by warp-wide bitset
+/// iteration; inactive lanes stay `None`.
 #[inline(always)]
 fn lane_addrs(exec: u32, src0: &[u32; WARP_SIZE], mem_offset: i32) -> [Option<u64>; WARP_SIZE] {
     let mut addrs = [None; WARP_SIZE];
