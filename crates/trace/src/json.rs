@@ -269,12 +269,12 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
+                            let code = self
                                 .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             // surrogate pairs are not produced by our
                             // writers; map them to the replacement char
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -284,12 +284,16 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control byte at byte {}", self.pos))
+                }
                 Some(_) => {
                     // copy the run of plain characters up to the next
-                    // quote or escape (both ASCII, so `pos` stays on a
-                    // character boundary)
+                    // quote, escape or control character (all ASCII, so
+                    // `pos` stays on a character boundary)
                     let rest = &self.text[self.pos..];
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    let run = rest.find(|c| c == '"' || c == '\\' || c < ' ');
+                    let run = run.unwrap_or(rest.len());
                     out.push_str(&rest[..run]);
                     self.pos += run;
                 }
@@ -297,22 +301,44 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses RFC 8259's `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-' {
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+        } else {
+            self.digits()?;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if let Some(b'e' | b'E') = self.peek() {
+            self.pos += 1;
+            if let Some(b'+' | b'-') = self.peek() {
                 self.pos += 1;
-            } else {
-                break;
             }
+            self.digits()?;
         }
         let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
+    }
+
+    /// Consumes one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), String> {
+        let start = self.pos;
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(format!("expected a digit at byte {start}"));
+        }
+        Ok(())
     }
 }
 
@@ -371,6 +397,54 @@ mod tests {
         // even unoptimized, while any per-character rescan of the rest
         // of the input takes minutes
         assert!(elapsed.as_secs() < 10, "{elapsed:?}");
+    }
+
+    #[test]
+    fn text_that_is_not_json_is_an_error_naming_its_byte() {
+        for (text, byte) in [
+            ("01", 1),
+            ("[01]", 2),
+            ("1.", 2),
+            ("-.5", 1),
+            ("[1.e5]", 3),
+            ("-", 1),
+            ("1e", 2),
+            ("\"\\u+041\"", 2),
+            ("\"\\u12\"", 2),
+            ("\"a\u{1}b\"", 2),
+            ("\"a\tb\"", 2),
+        ] {
+            let err = parse(text).expect_err(text);
+            let at = format!("byte {byte}");
+            let names_byte = err
+                .match_indices(&at)
+                .any(|(i, _)| !err[i + at.len()..].starts_with(|c: char| c.is_ascii_digit()));
+            assert!(names_byte, "{text:?}: {err}");
+        }
+        for (text, want) in [("0", 0.0), ("-0.5", -0.5), ("10", 10.0), ("1.5E+2", 150.0)] {
+            assert_eq!(parse(text).unwrap().as_num(), Some(want), "{text}");
+        }
+        assert_eq!(parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
+        // the documents this workspace reads back
+        for name in ["BENCH_PR4.json", "BENCH_PR9.json"] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed baseline");
+            parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        let trace = crate::chrome::write_trace(
+            Vec::new(),
+            &[crate::TraceEvent::warp_event(
+                3,
+                1,
+                2,
+                crate::TraceKind::Issue {
+                    pc: 7,
+                    active_lanes: 32,
+                },
+            )],
+        )
+        .unwrap();
+        parse(std::str::from_utf8(&trace).unwrap()).unwrap();
     }
 
     #[test]
