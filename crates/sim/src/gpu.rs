@@ -155,9 +155,7 @@ fn run_all(
     let run_one = |sm_id: usize, assigned: Vec<u32>| -> Result<crate::sm::SmResult, SimError> {
         let mut sm = Sm::with_predecoded(*config, kernel, assigned, Arc::clone(&prog))?;
         sm.set_tracing(sm_id as u16, trace_capacity);
-        for &(addr, value) in init {
-            sm.write_global(addr, value);
-        }
+        sm.preload_global(init);
         sm.run()
     };
     run_sms(config, cta_assignments(kernel, config), run_one)
@@ -329,9 +327,7 @@ impl<'k> SlicedSim<'k> {
         for (sm_id, assigned) in cta_assignments(kernel, config).into_iter().enumerate() {
             let mut sm = Sm::with_predecoded(*config, kernel, assigned, Arc::clone(&prog))?;
             sm.set_tracing(sm_id as u16, trace_capacity);
-            for &(addr, value) in init {
-                sm.write_global(addr, value);
-            }
+            sm.preload_global(init);
             sms.push(sm);
         }
         let done = vec![false; sms.len()];
