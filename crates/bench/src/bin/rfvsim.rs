@@ -77,8 +77,8 @@ use rfv_compiler::CompiledKernel;
 use rfv_faults::{FaultKind, Kind};
 use rfv_power::model::{energy, RfGeometry};
 use rfv_sim::{
-    simulate, simulate_resumable_traced, simulate_traced, simulate_traced_checkpointed, Checkpoint,
-    FaultPlan, SanitizeLevel, SimConfig, SimError, SimResult, TracedRun, WatchdogSnapshot,
+    simulate, simulate_traced, simulate_traced_checkpointed, Checkpoint, FaultPlan, SanitizeLevel,
+    SimConfig, SimError, SimResult, SlicedSim, TracedRun, WatchdogSnapshot,
 };
 use rfv_trace::{MetricsRegistry, TraceEvent};
 use rfv_workloads::{suite, PaperGeometry, Workload};
@@ -584,14 +584,14 @@ fn main() {
             compile_plain(&w)
         };
         let run = if let Some(path) = &opts.resume {
-            load_checkpoint(path).and_then(|c| simulate_resumable_traced(&ck, cfg, &c))
+            load_checkpoint(path).and_then(|c| SlicedSim::resume(&ck, cfg, &c)?.finish())
         } else if let Some(every) = opts.checkpoint_every {
             let dir = std::path::PathBuf::from(&opts.ckpt_dir);
             simulate_traced_checkpointed(&ck, cfg, &[], capacity, every, &mut |c| {
                 write_checkpoint(&dir, c)
             })
         } else {
-            simulate_traced(&ck, cfg, capacity)
+            simulate_traced(&ck, cfg, &[], capacity)
         };
         (*label, *cfg, ck, run)
     });

@@ -10,7 +10,7 @@ use rfv_isa::binary::encode_program_identity;
 use rfv_isa::Kernel;
 use rfv_power::model::RfActivity;
 use rfv_sim::cache::{flavor_options, Cache, CachedKernel};
-use rfv_sim::{simulate_predecoded, SanitizeLevel, SimConfig, SimResult, SimStats};
+use rfv_sim::{SanitizeLevel, SimConfig, SimResult, SimStats, SlicedSim};
 use rfv_trace::Enc;
 use rfv_workloads::Workload;
 
@@ -175,7 +175,10 @@ pub fn run(kernel: &CachedKernel, config: &SimConfig) -> Arc<SimResult> {
     key.extend_from_slice(identity.bytes());
     let results = RESULTS.get_or_init(|| Cache::with_capacity(RESULT_CAPACITY));
     let simulated = results.get_or_build(key, || {
-        simulate_predecoded(kernel, &config, &kernel.predecoded).map_err(|e| e.to_string())
+        SlicedSim::with_predecoded(kernel, &config, &[], 0, Arc::clone(&kernel.predecoded))
+            .and_then(SlicedSim::finish)
+            .map(|run| run.result)
+            .map_err(|e| e.to_string())
     });
     simulated
         .unwrap_or_else(|e| panic!("simulation failed: {e}"))
@@ -210,18 +213,16 @@ pub enum Machine {
 }
 
 impl Machine {
-    /// The simulator configuration for this machine.
+    /// The simulator configuration for this machine: its row of
+    /// [`machine_config`]'s table.
     pub fn config(self) -> SimConfig {
-        match self {
-            Machine::Conventional => SimConfig::conventional(),
-            Machine::Full128 => SimConfig::baseline_full(),
-            Machine::Shrink64 => SimConfig::gpu_shrink(50),
-            Machine::HardwareOnly => {
-                let mut c = SimConfig::baseline_full();
-                c.regfile.policy = VirtualizationPolicy::HardwareOnly;
-                c
-            }
-        }
+        let name = match self {
+            Machine::Conventional => "conventional",
+            Machine::Full128 => "full",
+            Machine::Shrink64 => "shrink50",
+            Machine::HardwareOnly => "hwonly",
+        };
+        machine_config(name).expect("every machine is in the table")
     }
 
     /// The binary this machine executes: with release metadata when

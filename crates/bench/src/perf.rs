@@ -15,9 +15,10 @@
 //! perf-motivated change did not alter simulated behaviour.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
-use rfv_sim::simulate_predecoded;
+use rfv_sim::SlicedSim;
 use rfv_trace::json::Value;
 
 use crate::figures::full_suite;
@@ -118,8 +119,11 @@ pub fn run(quick: bool, repeat: usize) -> Vec<PolicyPerf> {
                     let mut instrs = 0;
                     for _ in 0..repeat {
                         let t0 = Instant::now();
-                        let result = simulate_predecoded(&kernel, &config, &kernel.predecoded)
-                            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
+                        let prog = Arc::clone(&kernel.predecoded);
+                        let result = SlicedSim::with_predecoded(&kernel, &config, &[], 0, prog)
+                            .and_then(SlicedSim::finish)
+                            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+                            .result;
                         let wall = t0.elapsed().as_secs_f64();
                         best = best.min(wall);
                         cycles = result.cycles;

@@ -32,7 +32,7 @@ fn ragged_slices_with_checkpoint_resume_are_bit_identical() {
     let release = config.regfile.policy.uses_release_flags();
     let compiled = compile_flavored(&kernel, release).unwrap();
 
-    let reference = simulate_traced(&compiled, &config, 4096).unwrap();
+    let reference = simulate_traced(&compiled, &config, &[], 4096).unwrap();
 
     // one predecoded image shared across construction, checkpoint,
     // and resume — exactly what the daemon's compile cache does

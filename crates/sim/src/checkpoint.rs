@@ -120,31 +120,15 @@ impl Checkpoint {
         })
     }
 
-    /// Verifies this checkpoint belongs to (`kernel`, `config`).
+    /// Verifies this checkpoint belongs to the kernel whose
+    /// [`kernel_identity_hash`] is `kernel_hash` (a predecoded image
+    /// memoizes it, see [`crate::PredecodedKernel::kernel_hash`]) and
+    /// to `config`.
     ///
     /// # Errors
     ///
     /// [`SimError::BadCheckpoint`] naming the mismatched identity.
-    pub fn verify_identity(
-        &self,
-        kernel: &CompiledKernel,
-        config: &SimConfig,
-    ) -> Result<(), SimError> {
-        self.verify_identity_hashed(kernel_identity_hash(kernel), config)
-    }
-
-    /// [`Checkpoint::verify_identity`] against an already-computed
-    /// [`kernel_identity_hash`] — callers that share a predecoded
-    /// image (which memoizes the hash) skip the program walk.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadCheckpoint`] naming the mismatched identity.
-    pub fn verify_identity_hashed(
-        &self,
-        kernel_hash: u64,
-        config: &SimConfig,
-    ) -> Result<(), SimError> {
+    pub fn verify_identity(&self, kernel_hash: u64, config: &SimConfig) -> Result<(), SimError> {
         if self.config_hash != config.stable_hash() {
             return Err(SimError::BadCheckpoint(
                 "checkpoint was taken under a different machine configuration".into(),

@@ -53,7 +53,7 @@ pub struct SimConfig {
     /// `RFV_JOBS` environment variable, falling back to the machine's
     /// available parallelism; `Some(1)` forces the sequential path.
     /// SMs share no state, so the result is bit-identical either way
-    /// (see `gpu::run_all`).
+    /// (see `gpu::SlicedSim`).
     pub sm_jobs: Option<usize>,
     /// Online soundness checking of the virtualized register file
     /// (shadow-model sanitizer). At [`SanitizeLevel::Off`] — the

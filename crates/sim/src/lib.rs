@@ -56,13 +56,11 @@ pub mod warp;
 pub use checkpoint::{kernel_identity_hash, Checkpoint, CKPT_MAGIC, CKPT_VERSION};
 pub use config::SimConfig;
 pub use gpu::{
-    simulate, simulate_predecoded, simulate_resumable, simulate_resumable_traced, simulate_traced,
-    simulate_traced_checkpointed, simulate_traced_with_init, simulate_with_init, SimResult,
-    SlicedSim, TracedRun,
+    simulate, simulate_traced, simulate_traced_checkpointed, SimResult, SlicedSim, TracedRun,
 };
 pub use memory::GlobalMemory;
 pub use predecode::PredecodedKernel;
-pub use sm::{SimError, Sm, SmResult, WarpDiag, WatchdogSnapshot};
+pub use sm::{SimError, WarpDiag, WatchdogSnapshot};
 pub use stats::{RegTraceEvent, Sample, SimStats};
 
 // re-exported so simulator users can configure sanitizing and fault

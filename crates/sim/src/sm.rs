@@ -332,9 +332,9 @@ pub struct Sm<'k> {
     sanitizer: Sanitizer,
     /// Deterministic fault injector (`SimConfig::faults`).
     injector: FaultInjector,
-    /// First unhandled violation detected in the current step; `run`
-    /// turns it into [`SimError::Unsound`] (`Check`) or a quarantine
-    /// (`Recover`).
+    /// First unhandled violation detected in the current step;
+    /// [`Sm::run_until`] turns it into [`SimError::Unsound`] (`Check`)
+    /// or a quarantine (`Recover`).
     violation: Option<Violation>,
     /// Whether the initial CTA launch has happened. Set by the first
     /// [`Sm::run_until`] call and by [`Sm::restore_frame`] — a restored
@@ -435,7 +435,7 @@ impl<'k> Sm<'k> {
 
     /// Installs a bounded recording sink (`capacity > 0`) or disables
     /// tracing (`capacity == 0`). `sm_id` stamps every event this SM
-    /// emits. Call before [`Sm::run`].
+    /// emits. Call before the first [`Sm::run_until`].
     pub fn set_tracing(&mut self, sm_id: u16, capacity: usize) {
         self.sm_id = sm_id;
         self.sink = if capacity == 0 {
@@ -443,16 +443,6 @@ impl<'k> Sm<'k> {
         } else {
             Sink::ring(capacity)
         };
-    }
-
-    /// Runs all assigned CTAs to completion.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run(mut self) -> Result<SmResult, SimError> {
-        self.run_until(u64::MAX)?;
-        self.finish()
     }
 
     /// Advances the machine until either all work completes (`true`)
@@ -1344,8 +1334,8 @@ impl<'k> Sm<'k> {
 
     // ------------------------------------------------ sanitizer & faults
 
-    /// Latches the first violation of the current step; `run()` turns
-    /// it into [`SimError::Unsound`] (Check) or a CTA quarantine
+    /// Latches the first violation of the current step; `run_until`
+    /// turns it into [`SimError::Unsound`] (Check) or a CTA quarantine
     /// (Recover) after the step completes.
     fn flag_violation(&mut self, v: Option<Violation>) {
         if let Some(v) = v {

@@ -4,7 +4,7 @@
 use rfv_compiler::{compile, CompileOptions, CompiledKernel};
 use rfv_isa::prelude::*;
 use rfv_isa::{PredGuard, Special};
-use rfv_sim::{simulate, simulate_with_init, SimConfig, SimResult};
+use rfv_sim::{simulate, simulate_traced, SimConfig, SimResult};
 
 fn compiled(f: impl FnOnce(&mut KernelBuilder), launch: LaunchConfig) -> CompiledKernel {
     let mut b = KernelBuilder::new("test");
@@ -28,7 +28,9 @@ fn increment_kernel(b: &mut KernelBuilder) {
 fn increment_kernel_produces_correct_outputs() {
     let ck = compiled(increment_kernel, LaunchConfig::new(1, 64, 1));
     let init: Vec<(u64, u32)> = (0..64).map(|i| (i * 4, 100 + i as u32)).collect();
-    let r = simulate_with_init(&ck, &SimConfig::baseline_full(), &init).unwrap();
+    let r = simulate_traced(&ck, &SimConfig::baseline_full(), &init, 0)
+        .unwrap()
+        .result;
     for i in 0..64u64 {
         assert_eq!(
             r.memories[0].peek_word(0x1000 + i * 4),

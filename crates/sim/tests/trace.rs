@@ -5,7 +5,7 @@
 use rfv_compiler::{compile, CompileOptions, CompiledKernel};
 use rfv_isa::prelude::*;
 use rfv_isa::Special;
-use rfv_sim::{simulate_traced_with_init, simulate_with_init, SimConfig};
+use rfv_sim::{simulate_traced, SimConfig};
 use rfv_trace::{ChromeWriter, TraceKind};
 
 fn compiled(f: impl FnOnce(&mut KernelBuilder), launch: LaunchConfig) -> CompiledKernel {
@@ -42,8 +42,8 @@ fn tracing_does_not_perturb_simulation() {
         SimConfig::conventional(),
         SimConfig::gpu_shrink(75),
     ] {
-        let plain = simulate_with_init(&ck, &config, &init).unwrap();
-        let traced = simulate_traced_with_init(&ck, &config, &init, 1 << 20).unwrap();
+        let plain = simulate_traced(&ck, &config, &init, 0).unwrap().result;
+        let traced = simulate_traced(&ck, &config, &init, 1 << 20).unwrap();
         assert_eq!(plain.cycles, traced.result.cycles);
         assert_eq!(
             plain.per_sm, traced.result.per_sm,
@@ -65,8 +65,7 @@ fn tracing_does_not_perturb_simulation() {
 #[test]
 fn trace_capacity_zero_records_nothing() {
     let ck = compiled(worker_kernel, LaunchConfig::new(1, 64, 1));
-    let traced =
-        simulate_traced_with_init(&ck, &SimConfig::baseline_full(), &init_words(), 0).unwrap();
+    let traced = simulate_traced(&ck, &SimConfig::baseline_full(), &init_words(), 0).unwrap();
     assert!(traced.events.is_empty());
     assert!(traced.result.cycles > 0);
 }
@@ -76,7 +75,7 @@ fn traced_run_covers_the_event_vocabulary() {
     let ck = compiled(worker_kernel, LaunchConfig::new(2, 128, 2));
     let mut config = SimConfig::baseline_full();
     config.num_sms = 2;
-    let traced = simulate_traced_with_init(&ck, &config, &init_words(), 1 << 20).unwrap();
+    let traced = simulate_traced(&ck, &config, &init_words(), 1 << 20).unwrap();
     let has = |pred: &dyn Fn(&TraceKind) -> bool| traced.events.iter().any(|e| pred(&e.kind));
     assert!(has(&|k| matches!(k, TraceKind::RegAlloc { .. })));
     assert!(has(&|k| matches!(k, TraceKind::RegRelease { .. })));
@@ -97,9 +96,7 @@ fn traced_run_covers_the_event_vocabulary() {
 #[test]
 fn chrome_export_of_a_real_run_parses() {
     let ck = compiled(worker_kernel, LaunchConfig::new(2, 128, 2));
-    let traced =
-        simulate_traced_with_init(&ck, &SimConfig::baseline_full(), &init_words(), 1 << 20)
-            .unwrap();
+    let traced = simulate_traced(&ck, &SimConfig::baseline_full(), &init_words(), 1 << 20).unwrap();
     let mut out = Vec::new();
     let mut w = ChromeWriter::new(&mut out).unwrap();
     for e in &traced.events {

@@ -17,19 +17,23 @@
 //! are emitted as counter samples (`ph: "C"`) so Perfetto plots the
 //! `C - k_i` trajectory from Section 8.1 of the paper as a graph.
 
-use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::event::{TraceEvent, TraceKind};
 use crate::json::quote;
 
 /// Incremental writer: construct, feed events in any order, `finish`.
+///
+/// Records are formatted straight into `out`; naming a track costs one
+/// dense-table probe per event, with no per-event allocation.
 pub struct ChromeWriter<W: Write> {
     out: W,
     first: bool,
-    named_processes: BTreeSet<u16>,
-    named_threads: BTreeSet<(u16, u16)>,
+    /// Track-naming seen-table, dense by SM: one flag per thread track,
+    /// indexed by `warp + 1` (so [`TraceEvent::NO_WARP`] wraps to slot
+    /// 0). An SM's list stays empty until its first event, which also
+    /// names its process track.
+    named: Vec<Vec<bool>>,
 }
 
 impl<W: Write> ChromeWriter<W> {
@@ -39,11 +43,12 @@ impl<W: Write> ChromeWriter<W> {
         Ok(ChromeWriter {
             out,
             first: true,
-            named_processes: BTreeSet::new(),
-            named_threads: BTreeSet::new(),
+            named: Vec::new(),
         })
     }
 
+    /// Starts the next record: a separator before every record but
+    /// the first.
     fn sep(&mut self) -> io::Result<()> {
         if self.first {
             self.first = false;
@@ -53,68 +58,66 @@ impl<W: Write> ChromeWriter<W> {
         Ok(())
     }
 
-    fn raw(&mut self, record: &str) -> io::Result<()> {
-        self.sep()?;
-        self.out.write_all(record.as_bytes())
-    }
-
     fn ensure_tracks(&mut self, ev: &TraceEvent) -> io::Result<()> {
-        if self.named_processes.insert(ev.sm) {
-            let rec = format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":{}}}}}",
-                ev.sm,
-                quote(&format!("SM {}", ev.sm))
-            );
-            self.raw(&rec)?;
+        let sm = usize::from(ev.sm);
+        let slot = usize::from(ev.warp.wrapping_add(1));
+        if self.named.len() <= sm {
+            self.named.resize_with(sm + 1, Vec::new);
         }
-        if self.named_threads.insert((ev.sm, ev.warp)) {
-            let label = if ev.warp == TraceEvent::NO_WARP {
-                "sm events".to_string()
-            } else {
-                format!("warp {}", ev.warp)
-            };
-            let rec = format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":{}}}}}",
-                ev.sm,
-                ev.warp,
-                quote(&label)
-            );
-            self.raw(&rec)?;
+        let threads = &mut self.named[sm];
+        let new_process = threads.is_empty();
+        if threads.len() <= slot {
+            threads.resize(slot + 1, false);
         }
-        Ok(())
+        let new_thread = !std::mem::replace(&mut threads[slot], true);
+        if new_process {
+            self.sep()?;
+            write!(
+                self.out,
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"SM {}\"}}}}",
+                ev.sm, ev.sm
+            )?;
+        }
+        if !new_thread {
+            return Ok(());
+        }
+        self.sep()?;
+        write!(
+            self.out,
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":",
+            ev.sm, ev.warp
+        )?;
+        if ev.warp == TraceEvent::NO_WARP {
+            self.out.write_all(b"\"sm events\"}}")
+        } else {
+            write!(self.out, "\"warp {}\"}}}}", ev.warp)
+        }
     }
 
     /// Appends one event.
     pub fn write_event(&mut self, ev: &TraceEvent) -> io::Result<()> {
         self.ensure_tracks(ev)?;
-        let mut rec = String::with_capacity(128);
+        self.sep()?;
+        let out = &mut self.out;
         match ev.kind {
             // counter sample: Perfetto draws these as a graph per SM
-            TraceKind::ThrottleBalance { cta, balance } => {
-                let _ = write!(
-                    rec,
-                    "{{\"name\":\"balance\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{{}:{}}}}}",
-                    ev.cycle,
-                    ev.sm,
-                    ev.warp,
-                    quote(&format!("cta{cta}")),
-                    balance
-                );
-            }
+            TraceKind::ThrottleBalance { cta, balance } => write!(
+                out,
+                "{{\"name\":\"balance\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"cta{}\":{}}}}}",
+                ev.cycle, ev.sm, ev.warp, cta, balance
+            ),
             _ => {
-                let _ = write!(
-                    rec,
-                    "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{",
-                    quote(ev.kind.name()),
-                    ev.cycle,
-                    ev.sm,
-                    ev.warp
-                );
-                write_args(&mut rec, &ev.kind);
-                rec.push_str("}}");
+                out.write_all(b"{\"name\":")?;
+                write_str(out, ev.kind.name())?;
+                write!(
+                    out,
+                    ",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{",
+                    ev.cycle, ev.sm, ev.warp
+                )?;
+                write_args(out, &ev.kind)?;
+                out.write_all(b"}}")
             }
         }
-        self.raw(&rec)
     }
 
     /// Closes the document and returns the underlying writer.
@@ -127,81 +130,76 @@ impl<W: Write> ChromeWriter<W> {
     }
 }
 
-fn write_args(rec: &mut String, kind: &TraceKind) {
+/// Writes `s` as a JSON string literal, byte for byte what [`quote`]
+/// returns, without allocating when nothing needs escaping (every
+/// event name and label).
+fn write_str<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        write!(out, "\"{s}\"")
+    } else {
+        out.write_all(quote(s).as_bytes())
+    }
+}
+
+fn write_args<W: Write>(out: &mut W, kind: &TraceKind) -> io::Result<()> {
     match *kind {
         TraceKind::RegAlloc { reg, phys, bank } | TraceKind::RegRelease { reg, phys, bank } => {
-            let _ = write!(rec, "\"reg\":{reg},\"phys\":{phys},\"bank\":{bank}");
+            write!(out, "\"reg\":{reg},\"phys\":{phys},\"bank\":{bank}")
         }
         TraceKind::RegRename {
             reg,
             old_phys,
             new_phys,
-        } => {
-            let _ = write!(
-                rec,
-                "\"reg\":{reg},\"old_phys\":{old_phys},\"new_phys\":{new_phys}"
-            );
-        }
+        } => write!(
+            out,
+            "\"reg\":{reg},\"old_phys\":{old_phys},\"new_phys\":{new_phys}"
+        ),
         TraceKind::FlagCacheHit { pc } | TraceKind::FlagCacheMiss { pc } => {
-            let _ = write!(rec, "\"pc\":{pc}");
+            write!(out, "\"pc\":{pc}")
         }
-        TraceKind::PirDecode { pc, flags } => {
-            let _ = write!(rec, "\"pc\":{pc},\"flags\":{flags}");
-        }
+        TraceKind::PirDecode { pc, flags } => write!(out, "\"pc\":{pc},\"flags\":{flags}"),
         TraceKind::PbrDecode { pc, released } => {
-            let _ = write!(rec, "\"pc\":{pc},\"released\":{released}");
+            write!(out, "\"pc\":{pc},\"released\":{released}")
         }
         TraceKind::ThrottleAdmit { cta, budget } => {
-            let _ = write!(rec, "\"cta\":{cta},\"budget\":{budget}");
+            write!(out, "\"cta\":{cta},\"budget\":{budget}")
         }
-        TraceKind::ThrottleDeny { cta, balance } => {
-            let _ = write!(rec, "\"cta\":{cta},\"balance\":{balance}");
+        TraceKind::ThrottleDeny { cta, balance } | TraceKind::ThrottleBalance { cta, balance } => {
+            write!(out, "\"cta\":{cta},\"balance\":{balance}")
         }
-        TraceKind::ThrottleBalance { cta, balance } => {
-            let _ = write!(rec, "\"cta\":{cta},\"balance\":{balance}");
-        }
-        TraceKind::Spill { reg, phys } => {
-            let _ = write!(rec, "\"reg\":{reg},\"phys\":{phys}");
-        }
+        TraceKind::Spill { reg, phys } => write!(out, "\"reg\":{reg},\"phys\":{phys}"),
         TraceKind::SwapOut { warp_regs } | TraceKind::SwapIn { warp_regs } => {
-            let _ = write!(rec, "\"warp_regs\":{warp_regs}");
+            write!(out, "\"warp_regs\":{warp_regs}")
         }
-        TraceKind::GateOff { subarray } => {
-            let _ = write!(rec, "\"subarray\":{subarray}");
-        }
+        TraceKind::GateOff { subarray } => write!(out, "\"subarray\":{subarray}"),
         TraceKind::GateOn { subarray, wakeup } => {
-            let _ = write!(rec, "\"subarray\":{subarray},\"wakeup\":{wakeup}");
+            write!(out, "\"subarray\":{subarray},\"wakeup\":{wakeup}")
         }
         TraceKind::Issue { pc, active_lanes } => {
-            let _ = write!(rec, "\"pc\":{pc},\"active_lanes\":{active_lanes}");
+            write!(out, "\"pc\":{pc},\"active_lanes\":{active_lanes}")
         }
         TraceKind::Stall { reason } => {
-            let _ = write!(rec, "\"reason\":{}", quote(reason.label()));
+            out.write_all(b"\"reason\":")?;
+            write_str(out, reason.label())
         }
         TraceKind::Mem {
             phase,
             addr,
             segments,
         } => {
-            let _ = write!(
-                rec,
-                "\"phase\":{},\"addr\":{addr},\"segments\":{segments}",
-                quote(phase.label())
-            );
+            out.write_all(b"\"phase\":")?;
+            write_str(out, phase.label())?;
+            write!(out, ",\"addr\":{addr},\"segments\":{segments}")
         }
         TraceKind::CtaLaunch { cta } | TraceKind::CtaComplete { cta } => {
-            let _ = write!(rec, "\"cta\":{cta}");
+            write!(out, "\"cta\":{cta}")
         }
         TraceKind::FaultInjected { fault, reg, phys } => {
-            let _ = write!(
-                rec,
-                "\"fault\":{},\"reg\":{reg},\"phys\":{phys}",
-                quote(fault.label())
-            );
+            out.write_all(b"\"fault\":")?;
+            write_str(out, fault.label())?;
+            write!(out, ",\"reg\":{reg},\"phys\":{phys}")
         }
-        TraceKind::Quarantine { cta, warps } => {
-            let _ = write!(rec, "\"cta\":{cta},\"warps\":{warps}");
-        }
+        TraceKind::Quarantine { cta, warps } => write!(out, "\"cta\":{cta},\"warps\":{warps}"),
     }
 }
 

@@ -8,11 +8,11 @@
 //!   allocate/release/rename, release-flag-cache probes, `pir`/`pbr`
 //!   decode, CTA throttling, emergency spills, subarray power gating,
 //!   warp-scheduler issue/stall, and memory transactions;
-//! * sinks ([`sink`]): the [`TraceSink`] trait with a zero-cost
-//!   [`NoopSink`], a bounded [`RingSink`], and the enum-dispatched
-//!   [`Sink`] the simulator threads through its hot loops. When
-//!   tracing is off the per-event cost is a single discriminant test
-//!   — callers gate event *construction* on [`Sink::enabled`];
+//! * sinks ([`sink`]): the enum-dispatched [`Sink`] the simulator
+//!   threads through its hot loops — [`Sink::Noop`] or a bounded
+//!   [`RingSink`]. When tracing is off the per-event cost is a single
+//!   discriminant test — callers gate event *construction* on
+//!   [`Sink::enabled`];
 //! * deterministic stream merging ([`merge`]): per-SM event shards
 //!   recorded on worker threads are combined by `(cycle, sm, seq)`
 //!   into a trace bit-identical to a sequential run;
@@ -42,5 +42,5 @@ pub use chrome::ChromeWriter;
 pub use event::{FaultLabel, MemPhase, StallReason, TraceEvent, TraceKind};
 pub use merge::merge_shards;
 pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{NoopSink, RingSink, Sink, TraceSink};
+pub use sink::{RingSink, Sink};
 pub use wire::{Dec, Enc, WireError};

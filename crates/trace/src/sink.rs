@@ -30,36 +30,6 @@
 
 use crate::event::TraceEvent;
 
-/// A consumer of trace events.
-///
-/// `enabled` exists so callers can skip building the event payload
-/// entirely when the sink discards everything; implementations must
-/// tolerate `emit` being called regardless.
-pub trait TraceSink {
-    /// Whether events are being recorded. Callers should gate event
-    /// construction on this.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Record one event.
-    fn emit(&mut self, ev: TraceEvent);
-}
-
-/// Discards everything; `enabled()` is `false` so instrumented code
-/// compiles down to a branch around the emission site.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn emit(&mut self, _ev: TraceEvent) {}
-}
-
 /// A bounded in-memory capture. When full it keeps the *oldest*
 /// `capacity` events and counts the rest in [`RingSink::dropped`] —
 /// for the simulator the interesting structure (launch, first
@@ -115,11 +85,10 @@ impl RingSink {
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.buf
     }
-}
 
-impl TraceSink for RingSink {
+    /// Record one event, or count it as dropped when the sink is full.
     #[inline]
-    fn emit(&mut self, ev: TraceEvent) {
+    pub fn emit(&mut self, ev: TraceEvent) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
@@ -178,16 +147,6 @@ impl Sink {
     }
 }
 
-impl TraceSink for Sink {
-    fn enabled(&self) -> bool {
-        Sink::enabled(self)
-    }
-
-    fn emit(&mut self, ev: TraceEvent) {
-        Sink::emit(self, ev)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,11 +158,8 @@ mod tests {
 
     #[test]
     fn noop_reports_disabled_and_discards() {
-        let mut s = NoopSink;
-        assert!(!s.enabled());
-        s.emit(ev(1));
         let mut e = Sink::Noop;
-        assert!(!Sink::enabled(&e));
+        assert!(!e.enabled());
         e.emit(ev(2));
         assert!(e.events().is_empty());
     }

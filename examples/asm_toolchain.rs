@@ -9,7 +9,7 @@
 
 use rfv_compiler::{compile, CompileOptions};
 use rfv_isa::{decode_kernel, encode_kernel, parse_kernel, LaunchConfig};
-use rfv_sim::{simulate_with_init, SimConfig};
+use rfv_sim::{simulate_traced, SimConfig};
 
 const SOURCE: &str = r"
     # dot-product partial sums: each thread accumulates 4 elements
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let init: Vec<(u64, u32)> = (0..8192u64)
         .flat_map(|i| [(0x1000 + i * 4, 2u32), (0x8000 + i * 4, 3u32)])
         .collect();
-    let result = simulate_with_init(&compiled, &SimConfig::gpu_shrink(50), &init)?;
+    let result = simulate_traced(&compiled, &SimConfig::gpu_shrink(50), &init, 0)?.result;
     println!("ran in {} cycles on the 64 KB file", result.cycles);
     for tid in 0..128u64 {
         // 4 iterations x (2 * 3)

@@ -8,7 +8,7 @@
 use rfv_compiler::{compile, CompileOptions};
 use rfv_isa::prelude::*;
 use rfv_isa::{PredGuard, Special};
-use rfv_sim::{simulate_with_init, SimConfig};
+use rfv_sim::{simulate_traced, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Write a kernel with the builder: out[i] = 2*in[i] + tid,
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Run on the virtualized GPU (full scheme, 128 KB file).
     let init: Vec<(u64, u32)> = (0..256).map(|i| (0x1000 + i * 4, i as u32)).collect();
-    let result = simulate_with_init(&compiled, &SimConfig::baseline_full(), &init)?;
+    let result = simulate_traced(&compiled, &SimConfig::baseline_full(), &init, 0)?.result;
     let s = result.sm0();
     println!(
         "ran in {} cycles; {} instructions issued",

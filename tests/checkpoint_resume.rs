@@ -11,8 +11,8 @@ use rfv_compiler::CompiledKernel;
 use rfv_isa::kernel::ProgItem;
 use rfv_isa::{Kernel, Operand};
 use rfv_sim::{
-    simulate_resumable, simulate_resumable_traced, simulate_traced_checkpointed,
-    simulate_traced_with_init, Checkpoint, SimConfig, SimError, TracedRun,
+    simulate_traced, simulate_traced_checkpointed, Checkpoint, SimConfig, SimError, SlicedSim,
+    TracedRun,
 };
 use rfv_trace::TraceEvent;
 use rfv_workloads::{suite, synth, PaperGeometry, SynthParams, Workload};
@@ -52,6 +52,15 @@ fn init_words() -> Vec<(u64, u32)> {
     (0..256).map(|i| (i * 4, (i * 37) as u32)).collect()
 }
 
+/// Resumes a run from `checkpoint` and drives it to completion.
+fn resume(
+    kernel: &CompiledKernel,
+    config: &SimConfig,
+    checkpoint: &Checkpoint,
+) -> Result<TracedRun, SimError> {
+    SlicedSim::resume(kernel, config, checkpoint)?.finish()
+}
+
 /// Runs the checkpointing engine, collecting every emitted snapshot.
 fn run_with_checkpoints(
     kernel: &CompiledKernel,
@@ -73,7 +82,7 @@ fn run_with_checkpoints(
 /// for bit.
 fn assert_resume_matches(kernel: &CompiledKernel, config: &SimConfig, label: &str) {
     let uninterrupted =
-        simulate_traced_with_init(kernel, config, &init_words(), 1 << 20).expect("baseline runs");
+        simulate_traced(kernel, config, &init_words(), 1 << 20).expect("baseline runs");
     // pick an interval that yields several boundaries inside the run
     let every = (uninterrupted.result.cycles / 5).max(1);
     let (checkpointed, checkpoints) = run_with_checkpoints(kernel, config, every);
@@ -99,7 +108,7 @@ fn assert_resume_matches(kernel: &CompiledKernel, config: &SimConfig, label: &st
 
     let want_chrome = chrome_json(&uninterrupted.events);
     for c in &checkpoints {
-        let resumed = simulate_resumable_traced(kernel, config, c)
+        let resumed = resume(kernel, config, c)
             .unwrap_or_else(|e| panic!("{label}: resume at cycle {} failed: {e}", c.cycle));
         assert_eq!(
             resumed.result.cycles, uninterrupted.result.cycles,
@@ -178,13 +187,13 @@ fn wrong_machine_resume_is_rejected() {
     let c = checkpoints.first().expect("at least one checkpoint");
     let other = SimConfig::gpu_shrink(50);
     assert!(matches!(
-        simulate_resumable(&ck, &other, c),
+        resume(&ck, &other, c),
         Err(SimError::BadCheckpoint(_))
     ));
     // a different kernel is rejected too
     let other_ck = compile_full(&suite::reduction());
     assert!(matches!(
-        simulate_resumable(&other_ck, &cfg, c),
+        resume(&other_ck, &cfg, c),
         Err(SimError::BadCheckpoint(_))
     ));
 }
@@ -214,7 +223,7 @@ fn one_immediate_different_kernel_resume_is_rejected() {
     *imm += 1;
     let kernel = Kernel::new(w.kernel.name(), items, w.kernel.launch()).expect("still valid");
     let other = compile_full(&Workload { kernel, ..w });
-    match simulate_resumable(&other, &cfg, c) {
+    match resume(&other, &cfg, c) {
         Err(SimError::BadCheckpoint(m)) => assert!(m.contains("different kernel"), "{m}"),
         other => panic!("resume under a one-immediate-different kernel: {other:?}"),
     }
@@ -231,12 +240,11 @@ proptest! {
         let ck = compile_full(&w);
         let cfg = SimConfig::baseline_full();
         let uninterrupted =
-            simulate_traced_with_init(&ck, &cfg, &init_words(), 1 << 20).expect("baseline");
+            simulate_traced(&ck, &cfg, &init_words(), 1 << 20).expect("baseline");
         prop_assume!(every < uninterrupted.result.cycles);
         let (_, checkpoints) = run_with_checkpoints(&ck, &cfg, every);
         prop_assume!(!checkpoints.is_empty());
-        let resumed =
-            simulate_resumable_traced(&ck, &cfg, &checkpoints[0]).expect("resume");
+        let resumed = resume(&ck, &cfg, &checkpoints[0]).expect("resume");
         prop_assert_eq!(&resumed.result.per_sm, &uninterrupted.result.per_sm);
         prop_assert_eq!(&resumed.result.memories, &uninterrupted.result.memories);
         prop_assert_eq!(&resumed.events, &uninterrupted.events);

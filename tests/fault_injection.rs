@@ -42,7 +42,7 @@ fn cta_outputs(mem: &GlobalMemory, cta: u32) -> Vec<u32> {
 }
 
 fn run_traced(config: &SimConfig) -> Result<TracedRun, SimError> {
-    simulate_traced(&workload(), config, 1 << 14)
+    simulate_traced(&workload(), config, &[], 1 << 14)
 }
 
 #[test]
@@ -183,13 +183,13 @@ fn spill_loss_under_shrink_is_detected_or_recovered() {
     let ck = compile(&kernel, &CompileOptions::default()).expect("synth kernels compile");
     let mut base_cfg = SimConfig::gpu_shrink(75);
     base_cfg.max_cycles = 40_000_000;
-    let base = simulate_traced(&ck, &base_cfg, 0).expect("shrink baseline completes");
+    let base = simulate_traced(&ck, &base_cfg, &[], 0).expect("shrink baseline completes");
     assert!(base.result.sm0().swap_outs > 0, "workload must spill");
     for seed in 0..4u64 {
         let mut cfg = base_cfg;
         cfg.faults = FaultPlan::single(FaultKind::SpillWriteLoss, 1, seed);
         cfg.sanitize = SanitizeLevel::Recover;
-        let rec = simulate_traced(&ck, &cfg, 1 << 14)
+        let rec = simulate_traced(&ck, &cfg, &[], 1 << 14)
             .unwrap_or_else(|e| panic!("seed {seed}: Recover must complete, got: {e}"));
         let s = rec.result.sm0();
         assert_eq!(s.ctas_completed + s.quarantined_ctas, 2, "seed {seed}");

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use rfv_bench::harness::Machine;
 use rfv_faults::splitmix64;
-use rfv_sim::{simulate_traced_with_init, FaultPlan, SanitizeLevel, SimConfig};
+use rfv_sim::{simulate_traced, FaultPlan, SanitizeLevel, SimConfig};
 use rfv_trace::wire::fnv1a;
 use rfv_trace::Enc;
 use rfv_workloads::validate::{init_words_for, standard_init};
@@ -51,7 +51,7 @@ pub fn rows() -> Vec<Row> {
 /// A row's corpus line, and the CTAs its run quarantined.
 pub fn run_row(row: &Row) -> (String, u64) {
     let kernel = row.binary.compile(&row.workload);
-    let run = simulate_traced_with_init(&kernel, &row.config, &row.init, row.trace_capacity)
+    let run = simulate_traced(&kernel, &row.config, &row.init, row.trace_capacity)
         .unwrap_or_else(|e| panic!("{}: {e}", row.label));
     let mut stats = Enc::new();
     let mut mem = Enc::new();

@@ -6,7 +6,8 @@
 use rfv_bench::figures;
 use rfv_bench::harness::compile_full;
 use rfv_bench::pool;
-use rfv_sim::{simulate_traced_with_init, simulate_with_init, SimConfig, SimError};
+use rfv_compiler::CompiledKernel;
+use rfv_sim::{simulate_traced, Checkpoint, SimConfig, SimError, SimResult, SlicedSim, TracedRun};
 use rfv_trace::TraceEvent;
 use rfv_workloads::{suite, synth, PaperGeometry, SynthParams, Workload};
 
@@ -43,9 +44,38 @@ fn init_words() -> Vec<(u64, u32)> {
     (0..256).map(|i| (i * 4, (i * 31) as u32)).collect()
 }
 
+fn untraced(ck: &CompiledKernel, cfg: &SimConfig, init: &[(u64, u32)]) -> SimResult {
+    simulate_traced(ck, cfg, init, 0).unwrap().result
+}
+
+/// A traced run of `cycles` cycles driven through
+/// [`SlicedSim::advance`] in slices of about a twentieth of the run
+/// and, once past halfway, round-tripped through checkpoint bytes and
+/// [`SlicedSim::resume`] before being driven to the end.
+fn sliced_with_resume(
+    ck: &CompiledKernel,
+    cfg: &SimConfig,
+    init: &[(u64, u32)],
+    cycles: u64,
+) -> TracedRun {
+    let slice = (cycles / 20).max(1);
+    let mut sim = SlicedSim::new(ck, cfg, init, 1 << 20).unwrap();
+    while sim.cycle() < cycles / 2 {
+        assert!(!sim.advance(slice).unwrap(), "halfway lies inside the run");
+    }
+    let bytes = sim.checkpoint().to_bytes();
+    drop(sim);
+    let checkpoint = Checkpoint::from_bytes(&bytes).unwrap();
+    let mut sim = SlicedSim::resume(ck, cfg, &checkpoint).unwrap();
+    while !sim.advance(slice).unwrap() {}
+    sim.finish().unwrap()
+}
+
 /// The tentpole guarantee: a 4-SM run with SMs sharded across worker
 /// threads produces exactly the statistics, memories, trace events,
-/// and Chrome JSON of the sequential run.
+/// and Chrome JSON of the sequential run — whether it runs in one
+/// round or in sliced rounds interrupted by a checkpoint and resume,
+/// at either worker count.
 #[test]
 fn parallel_sms_bit_identical_to_sequential() {
     for w in [multi_cta_workload(), suite::vectoradd()] {
@@ -57,20 +87,27 @@ fn parallel_sms_bit_identical_to_sequential() {
         par_cfg.sm_jobs = Some(4);
         let init = init_words();
 
-        let seq = simulate_traced_with_init(&ck, &seq_cfg, &init, 1 << 20).unwrap();
-        let par = simulate_traced_with_init(&ck, &par_cfg, &init, 1 << 20).unwrap();
-
-        assert_eq!(seq.result.cycles, par.result.cycles, "{}", w.name());
-        assert_eq!(seq.result.per_sm, par.result.per_sm, "{}", w.name());
-        assert_eq!(seq.result.memories, par.result.memories, "{}", w.name());
+        let traced = |cfg: &SimConfig| simulate_traced(&ck, cfg, &init, 1 << 20).unwrap();
+        let seq = traced(&seq_cfg);
         assert!(!seq.events.is_empty(), "{} must trace events", w.name());
-        assert_eq!(seq.events, par.events, "{}", w.name());
-        assert_eq!(
-            chrome_json(&seq.events),
-            chrome_json(&par.events),
-            "{} Chrome JSON must be byte-identical",
-            w.name()
-        );
+        let want_chrome = chrome_json(&seq.events);
+        let sliced = |cfg: &SimConfig| sliced_with_resume(&ck, cfg, &init, seq.result.cycles);
+        for (how, run) in [
+            ("parallel", traced(&par_cfg)),
+            ("sliced sequential", sliced(&seq_cfg)),
+            ("sliced parallel", sliced(&par_cfg)),
+        ] {
+            let label = format!("{} {how}", w.name());
+            assert_eq!(seq.result.cycles, run.result.cycles, "{label}");
+            assert_eq!(seq.result.per_sm, run.result.per_sm, "{label}");
+            assert_eq!(seq.result.memories, run.result.memories, "{label}");
+            assert_eq!(seq.events, run.events, "{label}");
+            assert_eq!(
+                want_chrome,
+                chrome_json(&run.events),
+                "{label} Chrome JSON must be byte-identical"
+            );
+        }
     }
 }
 
@@ -85,8 +122,8 @@ fn untraced_parallel_matches_sequential() {
     let mut par_cfg = seq_cfg;
     par_cfg.sm_jobs = Some(4);
     let init = init_words();
-    let seq = simulate_with_init(&ck, &seq_cfg, &init).unwrap();
-    let par = simulate_with_init(&ck, &par_cfg, &init).unwrap();
+    let seq = untraced(&ck, &seq_cfg, &init);
+    let par = untraced(&ck, &par_cfg, &init);
     assert_eq!(seq.cycles, par.cycles);
     assert_eq!(seq.per_sm, par.per_sm);
     assert_eq!(seq.memories, par.memories);
@@ -100,7 +137,7 @@ fn zero_sm_config_is_a_bad_config_error() {
     let ck = compile_full(&w);
     let mut cfg = SimConfig::baseline_full();
     cfg.num_sms = 0;
-    match simulate_with_init(&ck, &cfg, &[]) {
+    match simulate_traced(&ck, &cfg, &[], 0) {
         Err(SimError::BadConfig(msg)) => {
             assert!(msg.contains("positive"), "unexpected message: {msg}")
         }
@@ -109,7 +146,7 @@ fn zero_sm_config_is_a_bad_config_error() {
     let mut cfg = SimConfig::baseline_full();
     cfg.sm_jobs = Some(0);
     assert!(matches!(
-        simulate_with_init(&ck, &cfg, &[]),
+        simulate_traced(&ck, &cfg, &[], 0),
         Err(SimError::BadConfig(_))
     ));
 }
@@ -140,11 +177,11 @@ fn repeated_parallel_runs_keep_a_flat_thread_count() {
     let init = init_words();
 
     // warm-up: first parallel run populates the persistent pool
-    let first = simulate_with_init(&ck, &cfg, &init).unwrap();
+    let first = untraced(&ck, &cfg, &init);
     let warm = pool_thread_count();
     assert!(warm > 0, "parallel run must have spawned pool workers");
     for _ in 0..8 {
-        let again = simulate_with_init(&ck, &cfg, &init).unwrap();
+        let again = untraced(&ck, &cfg, &init);
         assert_eq!(first.per_sm, again.per_sm, "reruns must be deterministic");
         let now = pool_thread_count();
         assert_eq!(

@@ -154,8 +154,9 @@ fn reference_models_validate_numerical_outputs() {
             rfv_sim::SimConfig::baseline_full(),
             rfv_sim::SimConfig::gpu_shrink(50),
         ] {
-            let r = rfv_sim::simulate_with_init(&ck, &cfg, &init)
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+            let r = rfv_sim::simulate_traced(&ck, &cfg, &init, 0)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name()))
+                .result;
             let peek = |addr: u64| r.memories[0].peek_word(addr);
             validator(&w, &init, &peek)
                 .unwrap_or_else(|e| panic!("{} reference model: {e}", w.name()));
